@@ -25,6 +25,9 @@
 //!   reported rates to within `1e-9` (relative, compared in the log
 //!   domain so deep-subnormal trees still audit exactly).
 //!
+//! The same tree checks audit one admitted group of the online setting
+//! ([`audit_group`]), with the group's members in place of `U`.
+//!
 //! Violations carry a stable [`AuditViolation::invariant`] name so fuzz
 //! reports and CI logs can aggregate by invariant.
 
@@ -32,8 +35,11 @@ use std::collections::HashMap;
 
 use qnet_graph::NodeId;
 
+use crate::channel::Channel;
 use crate::model::QuantumNetwork;
+use crate::rate::Rate;
 use crate::solver::{Solution, SolutionStyle};
+use crate::tree::EntanglementTree;
 
 /// Relative tolerance of the rate recomputation (paper Eq. 1/Eq. 2).
 pub const RATE_TOLERANCE: f64 = 1e-9;
@@ -53,7 +59,7 @@ pub enum AuditViolation {
         /// The other endpoint.
         b: NodeId,
     },
-    /// A channel endpoint is not a quantum user.
+    /// A channel endpoint is not one of the users being joined.
     EndpointRole {
         /// The offending node.
         node: NodeId,
@@ -143,7 +149,7 @@ impl core::fmt::Display for AuditViolation {
                 write!(f, "channel {a}–{b} closes a cycle over the users")
             }
             AuditViolation::EndpointRole { node } => {
-                write!(f, "channel endpoint {node} is not a user")
+                write!(f, "channel endpoint {node} is not in the user set")
             }
             AuditViolation::InteriorRole { node } => {
                 write!(f, "channel interior {node} is not a switch")
@@ -274,7 +280,9 @@ impl SolutionAudit {
     ) -> Result<AuditReport, AuditViolation> {
         let _span = qnet_obs::span!("core.audit.solution");
         match solution.style {
-            SolutionStyle::BsmTree => self.audit_tree(net, solution),
+            SolutionStyle::BsmTree => {
+                self.audit_tree(net, net.users(), &solution.channels, solution.rate)
+            }
             SolutionStyle::FusionStar {
                 center,
                 fusion_rate,
@@ -285,16 +293,15 @@ impl SolutionAudit {
     fn audit_tree(
         &self,
         net: &QuantumNetwork,
-        solution: &Solution,
+        users: &[NodeId],
+        channels: &[Channel],
+        rate: Rate,
     ) -> Result<AuditReport, AuditViolation> {
-        let users = net.users();
-        if solution.channels.len() + 1 != users.len()
-            && !(users.len() < 2 && solution.channels.is_empty())
-        {
+        if channels.len() + 1 != users.len() && !(users.len() < 2 && channels.is_empty()) {
             return Err(AuditViolation::UserCoverage {
                 detail: format!(
                     "{} channels cannot span {} users (need {})",
-                    solution.channels.len(),
+                    channels.len(),
                     users.len(),
                     users.len().saturating_sub(1)
                 ),
@@ -307,8 +314,8 @@ impl SolutionAudit {
         let mut total_cost = 0.0f64;
         let mut total_links = 0usize;
 
-        for (index, c) in solution.channels.iter().enumerate() {
-            let cost = self.check_channel(net, index, c, &mut demand)?;
+        for (index, c) in channels.iter().enumerate() {
+            let cost = self.check_channel(net, users, index, c, &mut demand)?;
             total_cost += cost;
             total_links += c.path.edges.len();
 
@@ -333,7 +340,7 @@ impl SolutionAudit {
 
         self.check_capacity(net, &demand)?;
 
-        let claimed_cost = solution.rate.neg_log().cost();
+        let claimed_cost = rate.neg_log().cost();
         self.check_cost("eq2", claimed_cost, total_cost).map_err(
             |(claimed_cost, recomputed_cost)| AuditViolation::SolutionRate {
                 claimed_cost,
@@ -342,7 +349,7 @@ impl SolutionAudit {
         )?;
 
         Ok(AuditReport {
-            channels: solution.channels.len(),
+            channels: channels.len(),
             links: total_links,
             switch_qubits_used: demand.values().sum(),
             recomputed_cost: total_cost,
@@ -430,17 +437,19 @@ impl SolutionAudit {
         })
     }
 
-    /// Structural + rate check of one user-to-user channel; returns its
-    /// recomputed Eq. 1 negative-log rate and accumulates switch demand.
+    /// Structural + rate check of one channel between two of `users`;
+    /// returns its recomputed Eq. 1 negative-log rate and accumulates
+    /// switch demand.
     fn check_channel(
         &self,
         net: &QuantumNetwork,
+        users: &[NodeId],
         index: usize,
-        c: &crate::channel::Channel,
+        c: &Channel,
         demand: &mut HashMap<NodeId, u64>,
     ) -> Result<f64, AuditViolation> {
         for &endpoint in &[c.source(), c.destination()] {
-            if !net.is_user(endpoint) {
+            if !users.contains(&endpoint) {
                 return Err(AuditViolation::EndpointRole { node: endpoint });
             }
         }
@@ -454,7 +463,7 @@ impl SolutionAudit {
         &self,
         net: &QuantumNetwork,
         index: usize,
-        c: &crate::channel::Channel,
+        c: &Channel,
         demand: &mut HashMap<NodeId, u64>,
     ) -> Result<f64, AuditViolation> {
         let nodes = &c.path.nodes;
@@ -564,14 +573,25 @@ pub fn audit_solution(
     SolutionAudit::default().audit(net, solution)
 }
 
+/// Audits one admitted group's `tree` with the default tolerance: the
+/// BSM-tree checks of [`SolutionAudit::audit`], with `members` in place
+/// of the network's user set.
+///
+/// # Errors
+///
+/// Returns the first violated invariant; see [`AuditViolation`].
+pub fn audit_group(
+    net: &QuantumNetwork,
+    members: &[NodeId],
+    tree: &EntanglementTree,
+) -> Result<AuditReport, AuditViolation> {
+    SolutionAudit::default().audit_tree(net, members, &tree.channels, tree.rate())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::Channel;
     use crate::model::{NodeKind, PhysicsParams};
-    use crate::rate::Rate;
-    use crate::solver::SolutionStyle;
-    use crate::tree::EntanglementTree;
     use qnet_graph::paths::Path;
     use qnet_graph::Graph;
 
@@ -593,6 +613,18 @@ mod tests {
             QuantumNetwork::from_graph(g, PhysicsParams::paper_default()),
             [a, b, c, s1, s2],
         )
+    }
+
+    /// `users` users each one fiber from a shared hub switch.
+    fn hub(users: usize, qubits: u32, length: f64) -> (QuantumNetwork, Vec<NodeId>, NodeId) {
+        let mut g: Graph<NodeKind, f64> = Graph::new();
+        let u: Vec<NodeId> = (0..users).map(|_| g.add_node(NodeKind::User)).collect();
+        let hub = g.add_node(NodeKind::Switch { qubits });
+        for &x in &u {
+            g.add_edge(x, hub, length);
+        }
+        let net = QuantumNetwork::from_graph(g, PhysicsParams::paper_default());
+        (net, u, hub)
     }
 
     fn chan(net: &QuantumNetwork, nodes: Vec<NodeId>) -> Channel {
@@ -701,13 +733,7 @@ mod tests {
     fn cycle_is_tree_acyclicity() {
         // 4 users around an 8-qubit hub: the third channel closes a
         // cycle over {u0, u1, u2} while u3 stays stranded.
-        let mut g: Graph<NodeKind, f64> = Graph::new();
-        let u: Vec<NodeId> = (0..4).map(|_| g.add_node(NodeKind::User)).collect();
-        let hub = g.add_node(NodeKind::Switch { qubits: 8 });
-        for &x in &u {
-            g.add_edge(x, hub, 500.0);
-        }
-        let net4 = QuantumNetwork::from_graph(g, PhysicsParams::paper_default());
+        let (net4, u, hub) = hub(4, 8, 500.0);
         let c01 = chan(&net4, vec![u[0], hub, u[1]]);
         let c12 = chan(&net4, vec![u[1], hub, u[2]]);
         let c02 = chan(&net4, vec![u[0], hub, u[2]]);
@@ -791,14 +817,37 @@ mod tests {
     }
 
     #[test]
+    fn clean_group_passes_although_other_users_stay_out() {
+        let (net, [a, b, _, s1, _]) = sample();
+        let tree: EntanglementTree = [chan(&net, vec![a, s1, b])].into_iter().collect();
+        let report = audit_group(&net, &[a, b], &tree).expect("clean group");
+        assert_eq!(report.switch_qubits_used, 2);
+    }
+
+    #[test]
+    fn group_corruptions_are_named() {
+        let (net, [a, b, c, s1, s2]) = sample();
+        let (ab, bc) = (chan(&net, vec![a, s1, b]), chan(&net, vec![b, s2, c]));
+        let name = |net: &QuantumNetwork, members: &[NodeId], channels: &[&Channel]| {
+            let tree: EntanglementTree = channels.iter().map(|&c| c.clone()).collect();
+            audit_group(net, members, &tree).unwrap_err().invariant()
+        };
+        // `c` is a user, but not a member of the pair group.
+        assert_eq!(name(&net, &[a, b], &[&bc]), "endpoint-role");
+        // Member `c` is left disconnected.
+        assert_eq!(name(&net, &[a, b, c], &[&ab]), "user-coverage");
+        // Two channels cannot form a tree over two members.
+        assert_eq!(name(&net, &[a, b], &[&ab, &bc]), "user-coverage");
+        // Three channels over four members, closing a cycle over three.
+        let (net4, u, hub) = hub(4, 8, 500.0);
+        let cycle = [[0, 1], [1, 2], [0, 2]].map(|[x, y]| chan(&net4, vec![u[x], hub, u[y]]));
+        let cycle: Vec<&Channel> = cycle.iter().collect();
+        assert_eq!(name(&net4, &u, &cycle), "tree-acyclicity");
+    }
+
+    #[test]
     fn fusion_star_audits_center_capacity() {
-        let mut g: Graph<NodeKind, f64> = Graph::new();
-        let u: Vec<NodeId> = (0..3).map(|_| g.add_node(NodeKind::User)).collect();
-        let hub = g.add_node(NodeKind::Switch { qubits: 2 });
-        for &x in &u {
-            g.add_edge(x, hub, 600.0);
-        }
-        let net = QuantumNetwork::from_graph(g, PhysicsParams::paper_default());
+        let (net, u, hub) = hub(3, 2, 600.0);
         let paths: Vec<Channel> = u.iter().map(|&x| chan(&net, vec![x, hub])).collect();
         let fusion_rate = Rate::from_prob(0.81);
         let rate = paths.iter().map(|p| p.rate).product::<Rate>() * fusion_rate;
@@ -816,13 +865,7 @@ mod tests {
 
     #[test]
     fn fusion_star_clean_case_passes() {
-        let mut g: Graph<NodeKind, f64> = Graph::new();
-        let u: Vec<NodeId> = (0..3).map(|_| g.add_node(NodeKind::User)).collect();
-        let hub = g.add_node(NodeKind::Switch { qubits: 3 });
-        for &x in &u {
-            g.add_edge(x, hub, 600.0);
-        }
-        let net = QuantumNetwork::from_graph(g, PhysicsParams::paper_default());
+        let (net, u, hub) = hub(3, 3, 600.0);
         let paths: Vec<Channel> = u.iter().map(|&x| chan(&net, vec![x, hub])).collect();
         let fusion_rate = Rate::from_prob(0.81);
         let rate = paths.iter().map(|p| p.rate).product::<Rate>() * fusion_rate;

@@ -1,10 +1,9 @@
-//! Sustained-load streaming workload — the telemetry-driving sibling of
-//! [`online`](crate::extensions::online).
-//!
-//! Where `simulate_online` answers "what is the blocking ratio of this
-//! workload", this module answers "what does the run look like *while
-//! it happens*": the same admit/hold/release session model, but with a
-//! trace-realistic arrival process and full streaming instrumentation:
+//! Sustained-load streaming workload: groups arrive, hold switch qubits
+//! for their session, and depart, each admission routed Prim-style
+//! (Algorithm 4) over the residual capacity by the shared
+//! [`AdmissionKernel`]. On top of the kernel the stream adds a
+//! trace-realistic arrival process, capacity churn, and full streaming
+//! instrumentation:
 //!
 //! * **diurnal modulation** — the per-slot arrival probability follows
 //!   `base · (1 + amplitude · sin(2π · slot / period))`, clamped to
@@ -42,8 +41,6 @@
 //! request scripts — the property the serve differential battery rests
 //! on.
 
-use std::collections::HashSet;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -52,9 +49,8 @@ use qnet_graph::NodeId;
 use qnet_obs::{TimeSeries, TimeSeriesConfig, TimeSeriesSection, TraceSampler};
 
 use crate::algorithms::{CacheEfficiency, ChannelFinderCache};
-use crate::channel::{CapacityMap, Channel};
+use crate::extensions::admission::{AdmissionKernel, Blocked};
 use crate::model::QuantumNetwork;
-use crate::tree::EntanglementTree;
 
 /// Workload, service, and telemetry parameters of a streaming run.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -270,14 +266,14 @@ impl RequestStream {
     /// # Panics
     ///
     /// Panics on out-of-range configuration or when the network has
-    /// fewer users than the minimum group size.
+    /// fewer users than the maximum group size.
     pub fn new(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> Self {
         cfg.validate();
         assert!(
-            net.user_count() >= cfg.group_size.0,
-            "network has {} users, groups need at least {}",
+            net.user_count() >= cfg.group_size.1,
+            "network has {} users, groups need up to {}",
             net.user_count(),
-            cfg.group_size.0
+            cfg.group_size.1
         );
         let users: Vec<(usize, NodeId)> = net.users().iter().copied().enumerate().collect();
         let hot_count = (cfg.hotspot_fraction * users.len() as f64).ceil() as usize;
@@ -383,12 +379,6 @@ pub struct StreamOutcome {
     pub series: TimeSeriesSection,
 }
 
-struct Session {
-    tree: EntanglementTree,
-    expires_at: u64,
-    members: Vec<NodeId>,
-}
-
 /// Runs the streaming workload for [`StreamConfig::slots`] slots,
 /// consuming the open-loop [`RequestStream`] one request at a time.
 ///
@@ -399,7 +389,7 @@ struct Session {
 /// # Panics
 ///
 /// Panics on out-of-range configuration or when the network has fewer
-/// users than the minimum group size.
+/// users than the maximum group size.
 pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> StreamOutcome {
     // The offered load: a pure function of (net, cfg, seed), drawn
     // entirely from its own RNG so admission outcomes can never feed
@@ -408,8 +398,7 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
     // Churn draws from its own stream so the base workload is
     // bit-identical with churn on or off.
     let mut churn_rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut capacity = CapacityMap::new(net);
-    let mut cache = ChannelFinderCache::new(net);
+    let mut kernel = AdmissionKernel::new(net, ChannelFinderCache::new(net));
     let mut sampler = TraceSampler::every(cfg.sample_every);
     let mut series = TimeSeries::new(TimeSeriesConfig {
         window_slots: cfg.window_slots,
@@ -434,7 +423,6 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
     // Outstanding churn withdrawals: (restore_at, switch, qubits).
     let mut maintenance: Vec<(u64, NodeId, u32)> = Vec::new();
 
-    let mut active: Vec<Session> = Vec::new();
     let mut stats = StreamStats::default();
     let mut session_rate_sum = 0.0f64;
     let mut active_slot_sum = 0u64;
@@ -442,31 +430,23 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
     for now in 0..cfg.slots {
         series.advance_to(now);
 
-        // Departures first: free the qubits of expired sessions and let
-        // the finder cache absorb the restores eagerly.
-        apply_departures(&mut active, &mut capacity, &mut cache, now);
+        // Departures first: free the qubits of expired sessions.
+        kernel.depart(now);
 
         // Capacity churn: restore expired withdrawals, then maybe take
         // a new switch down. Runs before the arrival so admission sees
         // the churned map — each withdraw/grant is a capacity delta the
         // finder cache absorbs incrementally.
         if cfg.churn_every > 0 {
-            let mut due = Vec::new();
             maintenance.retain(|&(restore_at, node, qubits)| {
                 if restore_at <= now {
-                    due.push((node, qubits));
-                    false
-                } else {
-                    true
+                    kernel.grant(node, qubits);
                 }
+                restore_at > now
             });
-            for (node, qubits) in due {
-                capacity.grant(node, qubits);
-            }
             if now % cfg.churn_every == 0 && now > 0 && !switches.is_empty() {
                 let victim = switches[churn_rng.random_range(0..switches.len())];
-                let taken = cfg.churn_qubits.min(capacity.free(victim));
-                capacity.withdraw(victim, taken);
+                let taken = kernel.withdraw(victim, cfg.churn_qubits);
                 maintenance.push((now + cfg.churn_hold, victim, taken));
                 stats.churn_events += 1;
                 series.rate_add("churn_events", 1);
@@ -480,51 +460,41 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
             series.rate_add("arrivals", 1);
             qnet_obs::counter!("core.stream.arrivals");
             let size = req.members.len();
-            let busy: HashSet<NodeId> = active
-                .iter()
-                .flat_map(|s| s.members.iter().copied())
-                .collect();
-            if req.members.iter().any(|m| busy.contains(m)) {
+            let before = kernel.cache().search_count();
+            let routed = kernel
+                .admit(&req.members, now + req.hold)
+                .map(|tree| tree.rate().value());
+            if routed == Err(Blocked::Busy) {
                 // Open-loop arrivals name their members up front, so a
-                // request whose member is still in a session blocks —
-                // the closed-loop "too few free users" reason is gone.
+                // request whose member is still in a session blocks.
                 stats.blocked_no_users += 1;
                 series.rate_add("blocked_no_users", 1);
                 qnet_obs::counter!("core.stream.blocked", reason = "no_users");
                 emit_block(&mut sampler, "member-busy", size, now);
+                continue;
+            }
+            let searches = kernel.cache().search_count() - before;
+            series.latency("admission_searches", searches);
+            qnet_obs::histogram!("core.stream.admission_searches", searches);
+            if let Ok(rate) = routed {
+                stats.admitted += 1;
+                series.rate_add("admitted", 1);
+                qnet_obs::counter!("core.stream.admitted");
+                session_rate_sum += rate;
             } else {
-                let before = cache.search_count();
-                let routed = route_group_cached(net, &mut cache, &mut capacity, &req.members);
-                let searches = cache.search_count() - before;
-                series.latency("admission_searches", searches);
-                qnet_obs::histogram!("core.stream.admission_searches", searches);
-                match routed {
-                    Some(tree) => {
-                        stats.admitted += 1;
-                        series.rate_add("admitted", 1);
-                        qnet_obs::counter!("core.stream.admitted");
-                        session_rate_sum += tree.rate().value();
-                        active.push(Session {
-                            tree,
-                            expires_at: now + req.hold,
-                            members: req.members,
-                        });
-                    }
-                    None => {
-                        stats.blocked_capacity += 1;
-                        series.rate_add("blocked_capacity", 1);
-                        qnet_obs::counter!("core.stream.blocked", reason = "capacity");
-                        emit_block(&mut sampler, "capacity", size, now);
-                    }
-                }
+                stats.blocked_capacity += 1;
+                series.rate_add("blocked_capacity", 1);
+                qnet_obs::counter!("core.stream.blocked", reason = "capacity");
+                emit_block(&mut sampler, "capacity", size, now);
             }
         }
 
-        active_slot_sum += active.len() as u64;
-        stats.peak_active_sessions = stats.peak_active_sessions.max(active.len());
-        series.gauge("active_sessions", active.len() as f64);
-        series.gauge("free_qubits", free_qubit_total(net, &capacity));
-        series.gauge("cache_hit_rate", cache.efficiency().hit_rate());
+        let active = kernel.active_sessions();
+        active_slot_sum += active as u64;
+        stats.peak_active_sessions = stats.peak_active_sessions.max(active);
+        series.gauge("active_sessions", active as f64);
+        series.gauge("free_qubits", kernel.free_qubits() as f64);
+        series.gauge("cache_hit_rate", kernel.cache().efficiency().hit_rate());
     }
 
     stats.mean_session_rate = if stats.admitted == 0 {
@@ -533,51 +503,13 @@ pub fn simulate_stream(net: &QuantumNetwork, cfg: StreamConfig, seed: u64) -> St
         session_rate_sum / stats.admitted as f64
     };
     stats.mean_active_sessions = active_slot_sum as f64 / cfg.slots as f64;
-    stats.total_searches = cache.search_count();
+    stats.total_searches = kernel.cache().search_count();
     stats.sampled_out = sampler.sampled_out();
-    stats.cache = cache.efficiency();
+    stats.cache = kernel.cache().efficiency();
     StreamOutcome {
         stats,
         series: series.finish(),
     }
-}
-
-/// Releases every expired session's channels and — when anything was
-/// released — immediately absorbs the restored capacity into the finder
-/// cache. Returns the number of departed sessions.
-///
-/// The eager [`ChannelFinderCache::absorb`] is the departure half of
-/// the delta engine's restore-cancellation path: a departing group's
-/// releases flip its relays back on, and absorbing that delta while it
-/// is still adjacent to the kill cancels the pending repairs queued for
-/// exactly those relays. Without it, the restore would ride along to
-/// the next lookup, interleaved with whatever else changed by then, and
-/// an unclassifiable improving flip escalates the entry to a full
-/// recompute instead of an O(1) revalidation.
-fn apply_departures(
-    active: &mut Vec<Session>,
-    capacity: &mut CapacityMap,
-    cache: &mut ChannelFinderCache<'_>,
-    now: u64,
-) -> u64 {
-    let before = active.len();
-    let mut released = false;
-    let mut kept = Vec::with_capacity(active.len());
-    for session in active.drain(..) {
-        if session.expires_at <= now {
-            for c in &session.tree.channels {
-                capacity.release(c);
-            }
-            released = true;
-        } else {
-            kept.push(session);
-        }
-    }
-    *active = kept;
-    if released {
-        cache.absorb(capacity);
-    }
-    (before - active.len()) as u64
 }
 
 /// Consults the sampler on every block (so the cadence and the
@@ -642,58 +574,11 @@ fn sample_members(
     members
 }
 
-/// Total free qubits across the network's switches.
-fn free_qubit_total(net: &QuantumNetwork, capacity: &CapacityMap) -> f64 {
-    net.switches().map(|s| capacity.free(s) as u64).sum::<u64>() as f64
-}
-
-/// Prim-style group routing over shared residual capacity, served
-/// through the finder cache (epoch-keyed, so trial capacities never
-/// alias); reserves the qubits on success, touches nothing on failure.
-///
-/// Public because the batched admission service (`muerp-serve`) routes
-/// through the identical growth loop — any divergence between the two
-/// consumers would void the serve differential battery.
-pub fn route_group_cached<'n>(
-    net: &'n QuantumNetwork,
-    cache: &mut ChannelFinderCache<'n>,
-    capacity: &mut CapacityMap,
-    members: &[NodeId],
-) -> Option<EntanglementTree> {
-    let mut in_tree = vec![false; net.graph().node_count()];
-    in_tree[members[0].index()] = true;
-    let mut tree = EntanglementTree::new();
-    let mut trial_capacity = capacity.clone();
-    for _ in 1..members.len() {
-        let mut best: Option<Channel> = None;
-        for &src in members.iter().filter(|u| in_tree[u.index()]) {
-            let finder = cache.finder(&trial_capacity, src);
-            for &dst in members.iter().filter(|u| !in_tree[u.index()]) {
-                if let Some(c) = finder.channel_to(dst) {
-                    if best.as_ref().is_none_or(|b| c.rate > b.rate) {
-                        best = Some(c);
-                    }
-                }
-            }
-        }
-        let c = best?;
-        trial_capacity.reserve(&c);
-        let newcomer = if in_tree[c.source().index()] {
-            c.destination()
-        } else {
-            c.source()
-        };
-        in_tree[newcomer.index()] = true;
-        tree.push(c);
-    }
-    *capacity = trial_capacity;
-    Some(tree)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::NetworkSpec;
+    use std::collections::HashSet;
 
     fn net() -> QuantumNetwork {
         NetworkSpec::paper_default().build(52)
@@ -901,57 +786,115 @@ mod tests {
         assert_eq!(out.stats.arrived, script.len() as u64);
     }
 
+    /// A flat (non-diurnal) workload with the given load and holds.
+    fn load_cfg(base_arrival: f64, hold_slots: (u64, u64)) -> StreamConfig {
+        StreamConfig {
+            slots: 4_000,
+            window_slots: 100,
+            base_arrival,
+            diurnal_amplitude: 0.0,
+            hold_slots,
+            ..StreamConfig::default()
+        }
+    }
+
     #[test]
-    fn departure_restores_cancel_pending_repairs() {
-        use crate::model::{NodeKind, PhysicsParams};
-        use qnet_graph::Graph;
-        // a —1000— s (2 qubits) —1000— b, plus a direct 2500 fiber.
-        // q = 0.99: the relayed route wins while s can relay.
-        let mut g: Graph<NodeKind, f64> = Graph::new();
-        let a = g.add_node(NodeKind::User);
-        let s = g.add_node(NodeKind::Switch { qubits: 2 });
-        let b = g.add_node(NodeKind::User);
-        g.add_edge(a, s, 1000.0);
-        g.add_edge(s, b, 1000.0);
-        g.add_edge(a, b, 2500.0);
-        let physics = PhysicsParams {
-            swap_success: 0.99,
-            attenuation: 1e-4,
+    fn heavier_load_blocks_more() {
+        let light = simulate_stream(&net(), load_cfg(0.05, (2, 4)), 3).stats;
+        let heavy = simulate_stream(&net(), load_cfg(0.9, (30, 60)), 3).stats;
+        assert!(
+            heavy.blocking_ratio() > light.blocking_ratio(),
+            "heavy {} vs light {}",
+            heavy.blocking_ratio(),
+            light.blocking_ratio()
+        );
+        assert!(heavy.mean_active_sessions > light.mean_active_sessions);
+    }
+
+    #[test]
+    fn short_holds_on_an_idle_network_rarely_block() {
+        // With short holds and long gaps, capacity returns to full:
+        // pairs on an otherwise idle network are almost always routable.
+        let cfg = StreamConfig {
+            slots: 8_000,
+            group_size: (2, 2),
+            ..load_cfg(0.02, (1, 2))
         };
-        let net = QuantumNetwork::from_graph(g, physics);
-        let mut capacity = CapacityMap::new(&net);
-        let mut cache = ChannelFinderCache::new(&net);
+        let stats = simulate_stream(&net(), cfg, 4).stats;
+        assert!(stats.arrived > 50);
+        assert!(
+            stats.blocking_ratio() < 0.05,
+            "blocking {} too high for an idle network",
+            stats.blocking_ratio()
+        );
+    }
 
-        // Admission reserves both of s's qubits: s's relay bit flips off.
-        let tree = route_group_cached(&net, &mut cache, &mut capacity, &[a, b])
-            .expect("relayed route feasible");
-        assert_eq!(tree.channels[0].link_count(), 2, "route goes via s");
-        // Absorb the kill: the cached entry for `a` now carries a
-        // pending repair for s.
-        cache.absorb(&capacity);
-        let searches = cache.search_count();
-        let hits = cache.efficiency().hits;
+    #[test]
+    fn blocked_decisions_land_in_the_flight_recorder() {
+        qnet_obs::set_level(qnet_obs::ObsLevel::Trace);
+        qnet_obs::reset_trace();
+        // Tag this thread with a sentinel so the assertion stays exact
+        // even if a concurrent test emits trace events into the shared
+        // ring.
+        qnet_obs::record_event(qnet_obs::TraceEvent::Blocked {
+            reason: "sentinel",
+            group_size: 0,
+            at_slot: u64::MAX,
+        });
+        let cfg = StreamConfig {
+            slots: 2_000,
+            sample_every: 1,
+            ..load_cfg(0.9, (30, 60))
+        };
+        let stats = simulate_stream(&net(), cfg, 7).stats;
+        let events = qnet_obs::trace_snapshot();
+        qnet_obs::set_level(qnet_obs::ObsLevel::Counters);
+        qnet_obs::reset_trace();
 
-        // The session departs through the real departure path: the
-        // release flips s back on and the eager absorb nets the restore
-        // out against the queued repair.
-        let mut active = vec![Session {
-            tree,
-            expires_at: 3,
-            members: vec![a, b],
-        }];
-        let departed = apply_departures(&mut active, &mut capacity, &mut cache, 5);
-        assert_eq!(departed, 1);
-        assert!(active.is_empty());
+        let me = events
+            .iter()
+            .find_map(|s| match s.event {
+                qnet_obs::TraceEvent::Blocked {
+                    reason: "sentinel", ..
+                } => Some(s.thread),
+                _ => None,
+            })
+            .expect("sentinel event recorded");
+        let (mut busy, mut capacity) = (0u64, 0u64);
+        for s in events.iter().filter(|s| s.thread == me) {
+            if let qnet_obs::TraceEvent::Blocked {
+                reason,
+                group_size,
+                at_slot,
+            } = s.event
+            {
+                match reason {
+                    "sentinel" => continue,
+                    "member-busy" => busy += 1,
+                    "capacity" => capacity += 1,
+                    other => panic!("unexpected block reason {other}"),
+                }
+                assert!(at_slot < cfg.slots, "block stamped with its slot");
+                assert!(group_size >= 2, "block carries the group size");
+            }
+        }
+        assert!(stats.blocked() > 0, "heavy load must block");
+        assert_eq!(stats.sampled_out, 0, "1-in-1 sampling keeps every block");
+        assert_eq!(busy, stats.blocked_no_users);
+        assert_eq!(capacity, stats.blocked_capacity);
+    }
 
-        // The next lookup must be an O(1) revalidation: no repair ran,
-        // no search ran, and the restored relay is visible again.
-        let c = cache.finder(&capacity, a).channel_to(b).expect("route");
-        assert_eq!(c.link_count(), 2, "restored relay visible again");
-        let eff = cache.efficiency();
-        assert_eq!(eff.repairs, 0, "pending repair was cancelled, not run");
-        assert_eq!(cache.search_count(), searches, "no full search either");
-        assert_eq!(eff.hits, hits + 1, "served as a clean revalidation");
+    #[test]
+    #[should_panic(expected = "network has 3 users, groups need up to 5")]
+    fn groups_larger_than_the_user_set_are_rejected_up_front() {
+        let net = NetworkSpec::paper_default().with_users(3).build(52);
+        let cfg = StreamConfig {
+            slots: 200,
+            base_arrival: 1.0,
+            group_size: (2, 5),
+            ..StreamConfig::default()
+        };
+        RequestStream::new(&net, cfg, 1);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 
 use muerp_core::algorithms::{ChannelFinder, ChannelFinderCache};
 use muerp_core::channel::CapacityMap;
-use muerp_core::model::{NetworkSpec, QuantumNetwork};
-use qnet_graph::NodeId;
+use muerp_core::extensions::{AdmissionKernel, Blocked};
+use muerp_core::model::{NetworkSpec, NodeKind, PhysicsParams, QuantumNetwork};
+use qnet_graph::{Graph, NodeId};
 use qnet_pool::Pool;
 
 /// Asserts every cached per-source run equals a cold from-scratch run
@@ -261,4 +262,64 @@ fn threshold_preserving_ping_pong_never_searches() {
         "every post-fill lookup must be an O(1) revalidation"
     );
     assert_eq!(cache.efficiency().repairs, 0);
+}
+
+/// The admission kernel's departure path drives the same cancellation:
+/// a session's release is absorbed while still adjacent to its kill, so
+/// a later unrelated restore cannot escalate the entry to a recompute.
+#[test]
+fn departure_restores_cancel_pending_repairs() {
+    // a —1000— s (2 qubits) —1000— b, plus a direct 2500 fiber, and an
+    // isolated switch u ordered before s. q = 0.99: the relayed route
+    // wins while s can relay.
+    let mut g: Graph<NodeKind, f64> = Graph::new();
+    let u = g.add_node(NodeKind::Switch { qubits: 2 });
+    let a = g.add_node(NodeKind::User);
+    let s = g.add_node(NodeKind::Switch { qubits: 2 });
+    let b = g.add_node(NodeKind::User);
+    g.add_edge(a, s, 1000.0);
+    g.add_edge(s, b, 1000.0);
+    g.add_edge(a, b, 2500.0);
+    let physics = PhysicsParams {
+        swap_success: 0.99,
+        attenuation: 1e-4,
+    };
+    let net = QuantumNetwork::from_graph(g, physics);
+    let mut kernel = AdmissionKernel::new(&net, ChannelFinderCache::new(&net));
+    assert_eq!(
+        kernel.withdraw(u, 5),
+        2,
+        "withdrawal capped at the free count"
+    );
+
+    // Admission reserves both of s's qubits: s's relay bit flips off.
+    let tree = kernel.admit(&[a, b], 3).expect("relayed route feasible");
+    assert_eq!(tree.channels[0].link_count(), 2, "route goes via s");
+    assert_eq!(kernel.admit(&[b, a], 9), Err(Blocked::Busy));
+    assert_eq!(kernel.free_qubits(), 0);
+    // An empty warm observes the kill: the cached entry for `a` now
+    // carries a pending repair for s.
+    kernel.warm(&[]);
+    let searches = kernel.cache().search_count();
+    let hits = kernel.cache().efficiency().hits;
+
+    // Nothing is due at slot 2; at slot 5 the session departs, the
+    // release flips s back on and the eager absorb nets the restore
+    // out against the queued repair. Restoring u afterwards is an
+    // improving flip `a` cannot reach; over a still-pending repair it
+    // would be unclassifiable.
+    assert_eq!(kernel.depart(2), 0);
+    assert_eq!(kernel.depart(5), 1);
+    assert_eq!(kernel.active_sessions(), 0);
+    kernel.grant(u, 2);
+    assert_eq!(kernel.free_qubits(), 4);
+
+    // The next admission must be an O(1) revalidation: no repair ran,
+    // no search ran, and the restored relay is visible again.
+    let tree = kernel.admit(&[a, b], 9).expect("members free again");
+    assert_eq!(tree.channels[0].link_count(), 2, "restored relay visible");
+    let eff = kernel.cache().efficiency();
+    assert_eq!(eff.repairs, 0, "pending repair was cancelled, not run");
+    assert_eq!(kernel.cache().search_count(), searches, "no full search");
+    assert_eq!(eff.hits, hits + 1, "served as a clean revalidation");
 }

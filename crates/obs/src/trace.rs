@@ -155,8 +155,8 @@ pub enum TraceEvent {
         /// unrepairable.
         rate: f64,
     },
-    /// An online/streaming admission request was rejected: `reason` is
-    /// `"no-users"` (too few idle users to form the group) or
+    /// A streaming admission request was rejected: `reason` is
+    /// `"member-busy"` (a requested member is still in a session) or
     /// `"capacity"` (no capacity-respecting tree over the residual
     /// network).
     Blocked {

@@ -4,30 +4,28 @@
 //! slots. All decisions of round `r` are made at its **decision slot**
 //! `end = min((r+1)·round_slots, slots)`:
 //!
-//! 1. sessions with `expires_at ≤ end` depart — their channels are
-//!    released and the finder cache absorbs the restores eagerly
-//!    (delta-engine restore cancellation);
+//! 1. sessions with `expires_at ≤ end` depart through the
+//!    [`AdmissionKernel`];
 //! 2. arrivals with `slot < end` not yet collected are offered to the
 //!    bounded queue; overflow is shed with a [`Verdict::Shed`] decision;
 //! 3. the cache is warmed once for every distinct member of the kept
 //!    queue (the qnet-pool batch path — one parallel fan-out per round);
 //! 4. the queue is ordered by the policy and each request admitted or
-//!    blocked against shared capacity, sequentially in that order.
+//!    blocked by the kernel, sequentially in that order.
 //!
 //! Every count lands twice: in the run-level [`ServeStats`] and in the
 //! per-round [`qnet_obs::TimeSeries`] (one window per round), and the
 //! two must agree exactly — a proptest holds admitted + blocked + shed
 //! equal to the arrival total across arbitrary round sizes.
 
-use std::collections::HashSet;
-
-use qnet_graph::{NodeId, UnionFind};
+use qnet_graph::NodeId;
 use qnet_obs::{TimeSeries, TimeSeriesConfig, TimeSeriesSection};
 use qnet_pool::Pool;
 
 use muerp_core::algorithms::{CacheEfficiency, ChannelFinderCache};
-use muerp_core::channel::CapacityMap;
-use muerp_core::extensions::{route_group_cached, Request, RequestStream, SloClass, StreamConfig};
+use muerp_core::extensions::{
+    AdmissionKernel, Blocked, Request, RequestStream, SloClass, StreamConfig,
+};
 use muerp_core::model::QuantumNetwork;
 use muerp_core::tree::EntanglementTree;
 
@@ -221,12 +219,6 @@ pub struct ServeOutcome {
     pub deficits: [u64; 3],
 }
 
-struct Session {
-    tree: EntanglementTree,
-    expires_at: u64,
-    members: Vec<NodeId>,
-}
-
 /// Runs the full service over the seeded request stream: draws the
 /// script via [`RequestStream`] and batches it through
 /// [`serve_requests`].
@@ -260,10 +252,10 @@ fn serve_with_cache<'n>(
     net: &'n QuantumNetwork,
     cfg: &ServeConfig,
     requests: &[Request],
-    mut cache: ChannelFinderCache<'n>,
+    cache: ChannelFinderCache<'n>,
 ) -> ServeOutcome {
     cfg.validate();
-    let mut capacity = CapacityMap::new(net);
+    let mut kernel = AdmissionKernel::new(net, cache);
     let rounds_total = cfg.rounds();
     let mut series = TimeSeries::new(TimeSeriesConfig {
         window_slots: cfg.round_slots,
@@ -282,7 +274,6 @@ fn serve_with_cache<'n>(
 
     let mut queue = BoundedQueue::new(cfg.queue_capacity);
     let mut deficit = DeficitState::new();
-    let mut active: Vec<Session> = Vec::new();
     let mut stats = ServeStats::default();
     let mut decisions: Vec<Decision> = Vec::new();
     let mut rounds: Vec<RoundReport> = Vec::new();
@@ -294,25 +285,8 @@ fn serve_with_cache<'n>(
         let end = ((round + 1) * cfg.round_slots).min(cfg.stream.slots);
         series.advance_to(start);
 
-        // 1. Departures due by the decision slot, applied as delta
-        // restores: release, then absorb so pending repairs queued for
-        // the departing relays are cancelled eagerly.
-        let mut departed = 0u64;
-        let mut kept_sessions = Vec::with_capacity(active.len());
-        for session in active.drain(..) {
-            if session.expires_at <= end {
-                for c in &session.tree.channels {
-                    capacity.release(c);
-                }
-                departed += 1;
-            } else {
-                kept_sessions.push(session);
-            }
-        }
-        active = kept_sessions;
-        if departed > 0 {
-            cache.absorb(&capacity);
-        }
+        // 1. Departures due by the decision slot.
+        let departed = kernel.depart(end);
         stats.departures += departed;
 
         // 2. Collect the round's arrivals into the bounded queue.
@@ -350,15 +324,11 @@ fn serve_with_cache<'n>(
             .collect();
         sources.sort_unstable();
         sources.dedup();
-        let searches_before = cache.search_count();
-        cache.warm(&capacity, &sources);
+        let searches_before = kernel.cache().search_count();
+        kernel.warm(&sources);
 
         // 4. Policy order, then sequential admission against shared
         // capacity.
-        let mut busy: HashSet<NodeId> = active
-            .iter()
-            .flat_map(|s| s.members.iter().copied())
-            .collect();
         let order = order_requests(cfg.policy, &kept, &mut deficit);
         let mut report = RoundReport {
             round,
@@ -371,38 +341,31 @@ fn serve_with_cache<'n>(
         };
         for idx in order {
             let r = &kept[idx];
-            let verdict = if r.members.iter().any(|m| busy.contains(m)) {
-                stats.blocked_busy += 1;
-                stats.per_class[r.class.index()].blocked += 1;
-                report.blocked_busy += 1;
-                series.rate_add("blocked_busy", 1);
-                qnet_obs::counter!("serve.blocked", reason = "busy");
-                Verdict::BlockedBusy
-            } else {
-                match route_group_cached(net, &mut cache, &mut capacity, &r.members) {
-                    Some(tree) => {
-                        stats.admitted += 1;
-                        stats.per_class[r.class.index()].admitted += 1;
-                        report.admitted += 1;
-                        series.rate_add("admitted", 1);
-                        qnet_obs::counter!("serve.admitted");
-                        session_rate_sum += tree.rate().value();
-                        busy.extend(r.members.iter().copied());
-                        active.push(Session {
-                            tree: tree.clone(),
-                            expires_at: end + r.hold,
-                            members: r.members.clone(),
-                        });
-                        Verdict::Admitted { tree }
-                    }
-                    None => {
-                        stats.blocked_capacity += 1;
-                        stats.per_class[r.class.index()].blocked += 1;
-                        report.blocked_capacity += 1;
-                        series.rate_add("blocked_capacity", 1);
-                        qnet_obs::counter!("serve.blocked", reason = "capacity");
-                        Verdict::BlockedCapacity
-                    }
+            let verdict = match kernel.admit(&r.members, end + r.hold) {
+                Ok(tree) => {
+                    stats.admitted += 1;
+                    stats.per_class[r.class.index()].admitted += 1;
+                    report.admitted += 1;
+                    series.rate_add("admitted", 1);
+                    qnet_obs::counter!("serve.admitted");
+                    session_rate_sum += tree.rate().value();
+                    Verdict::Admitted { tree: tree.clone() }
+                }
+                Err(Blocked::Busy) => {
+                    stats.blocked_busy += 1;
+                    stats.per_class[r.class.index()].blocked += 1;
+                    report.blocked_busy += 1;
+                    series.rate_add("blocked_busy", 1);
+                    qnet_obs::counter!("serve.blocked", reason = "busy");
+                    Verdict::BlockedBusy
+                }
+                Err(Blocked::NoCapacity) => {
+                    stats.blocked_capacity += 1;
+                    stats.per_class[r.class.index()].blocked += 1;
+                    report.blocked_capacity += 1;
+                    series.rate_add("blocked_capacity", 1);
+                    qnet_obs::counter!("serve.blocked", reason = "capacity");
+                    Verdict::BlockedCapacity
                 }
             };
             decisions.push(Decision {
@@ -415,15 +378,16 @@ fn serve_with_cache<'n>(
             });
         }
 
-        report.searches = cache.search_count() - searches_before;
+        report.searches = kernel.cache().search_count() - searches_before;
         series.rate_add("departures", departed);
         series.latency("round_searches", report.searches);
         qnet_obs::histogram!("serve.round_searches", report.searches);
-        stats.peak_active_sessions = stats.peak_active_sessions.max(active.len());
+        let active = kernel.active_sessions();
+        stats.peak_active_sessions = stats.peak_active_sessions.max(active);
         series.gauge("queue_depth", kept.len() as f64);
-        series.gauge("active_sessions", active.len() as f64);
-        series.gauge("free_qubits", free_qubit_total(net, &capacity));
-        series.gauge("cache_hit_rate", cache.efficiency().hit_rate());
+        series.gauge("active_sessions", active as f64);
+        series.gauge("free_qubits", kernel.free_qubits() as f64);
+        series.gauge("cache_hit_rate", kernel.cache().efficiency().hit_rate());
         rounds.push(report);
     }
 
@@ -432,8 +396,8 @@ fn serve_with_cache<'n>(
     } else {
         session_rate_sum / stats.admitted as f64
     };
-    stats.total_searches = cache.search_count();
-    stats.cache = cache.efficiency();
+    stats.total_searches = kernel.cache().search_count();
+    stats.cache = kernel.cache().efficiency();
     ServeOutcome {
         stats,
         decisions,
@@ -443,55 +407,10 @@ fn serve_with_cache<'n>(
     }
 }
 
-/// Total free qubits across the network's switches.
-fn free_qubit_total(net: &QuantumNetwork, capacity: &CapacityMap) -> f64 {
-    net.switches().map(|s| capacity.free(s) as u64).sum::<u64>() as f64
-}
-
-/// Audits one admitted group solution independently of the engine:
-/// every channel structurally valid, endpoints inside the group, and
-/// the channels forming a spanning tree over exactly the members.
-///
-/// # Errors
-///
-/// Returns a description of the first violated invariant.
-pub fn audit_group_tree(
-    net: &QuantumNetwork,
-    members: &[NodeId],
-    tree: &EntanglementTree,
-) -> Result<(), String> {
-    if tree.channels.len() + 1 != members.len() {
-        return Err(format!(
-            "{} channels cannot span {} members",
-            tree.channels.len(),
-            members.len()
-        ));
-    }
-    let group: HashSet<NodeId> = members.iter().copied().collect();
-    let mut uf = UnionFind::new(net.graph().node_count());
-    for c in &tree.channels {
-        c.validate(net)
-            .map_err(|e| format!("invalid channel: {e}"))?;
-        let (a, b) = (c.source(), c.destination());
-        if !group.contains(&a) || !group.contains(&b) {
-            return Err(format!("channel endpoint outside the group: {a}–{b}"));
-        }
-        if !uf.union(a.index(), b.index()) {
-            return Err(format!("cycle through {a}–{b}"));
-        }
-    }
-    let root = uf.find(members[0].index());
-    for &m in members {
-        if uf.find(m.index()) != root {
-            return Err(format!("member {m} disconnected from the group tree"));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muerp_core::audit::audit_group;
     use muerp_core::model::NetworkSpec;
 
     fn small_cfg() -> ServeConfig {
@@ -571,7 +490,7 @@ mod tests {
         for d in &out.decisions {
             if let Verdict::Admitted { tree } = &d.verdict {
                 let members = &requests[d.request as usize].members;
-                audit_group_tree(&net, members, tree).expect("audit-clean");
+                audit_group(&net, members, tree).expect("audit-clean");
                 audited += 1;
             }
         }

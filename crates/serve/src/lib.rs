@@ -7,9 +7,8 @@
 //!
 //! Each round:
 //!
-//! 1. applies every due departure as a delta-engine restore — channels
-//!    released, then [`ChannelFinderCache::absorb`] cancels the pending
-//!    repairs queued for the departing groups' relay flips;
+//! 1. releases every due departure through the shared
+//!    [`AdmissionKernel`], which absorbs the restores at once;
 //! 2. collects the round's arrivals into a [`BoundedQueue`], shedding
 //!    the over-capacity suffix with an exact tally (backpressure);
 //! 3. warms the [`ChannelFinderCache`] **once** for all distinct
@@ -28,7 +27,7 @@
 //! recomputation (the PR 9 battery).
 //!
 //! [`ChannelFinderCache`]: muerp_core::algorithms::ChannelFinderCache
-//! [`ChannelFinderCache::absorb`]: muerp_core::algorithms::ChannelFinderCache::absorb
+//! [`AdmissionKernel`]: muerp_core::extensions::AdmissionKernel
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,9 +39,12 @@ pub mod policy;
 pub mod queue;
 
 pub use engine::{
-    audit_group_tree, serve, serve_requests, serve_requests_with_pool, ClassTally, Decision,
-    RoundReport, ServeConfig, ServeOutcome, ServeStats, Verdict,
+    serve, serve_requests, serve_requests_with_pool, ClassTally, Decision, RoundReport,
+    ServeConfig, ServeOutcome, ServeStats, Verdict,
 };
+/// The independent group-tree audit, under the name the service's
+/// callers know it by.
+pub use muerp_core::audit::audit_group as audit_group_tree;
 pub use oracle::sequential_fcfs;
 pub use policy::{DeficitState, PolicyKind, CLASS_WEIGHTS};
 pub use queue::BoundedQueue;

@@ -109,9 +109,10 @@ pub fn sequential_fcfs(
     decisions
 }
 
-/// [`route_group_cached`](muerp_core::extensions::route_group_cached)'s
-/// greedy Prim growth, with every per-step search recomputed from
-/// scratch — the untainted reference implementation.
+/// The greedy Prim growth of
+/// [`AdmissionKernel::admit`](muerp_core::extensions::AdmissionKernel::admit),
+/// with every per-step search recomputed from scratch — the untainted
+/// reference implementation.
 fn route_group_cold(
     net: &QuantumNetwork,
     capacity: &mut CapacityMap,

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use muerp::bridge::solution_to_plan;
-use muerp::core::extensions::{simulate_online, OnlineConfig};
+use muerp::core::extensions::{simulate_stream, StreamConfig};
 use muerp::core::prelude::*;
 use muerp::sim::buffered::{BufferedChannel, BufferedTree};
 use muerp::sim::qubit::{assign, SlotUse};
@@ -60,16 +60,15 @@ fn online_model_runs_on_the_nsfnet_backbone() {
         4,
         muerp::core::model::PhysicsParams::paper_default(),
     );
-    let stats = simulate_online(
-        &net,
-        OnlineConfig {
-            arrival_prob: 0.5,
-            group_size: (2, 3),
-            hold_slots: (5, 15),
-        },
-        5_000,
-        9,
-    );
+    let cfg = StreamConfig {
+        slots: 5_000,
+        base_arrival: 0.5,
+        diurnal_amplitude: 0.0,
+        group_size: (2, 3),
+        hold_slots: (5, 15),
+        ..StreamConfig::default()
+    };
+    let stats = simulate_stream(&net, cfg, 9).stats;
     assert!(stats.arrived > 1_000);
     assert_eq!(stats.arrived, stats.admitted + stats.blocked());
     assert!(stats.admitted > 0, "the backbone must admit some sessions");
