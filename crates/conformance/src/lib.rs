@@ -32,6 +32,9 @@
 //!   `repro fuzz --budget <n>`: sweeps random topology specs through
 //!   generate→solve→audit, records failing seeds, and shrinks them to a
 //!   minimal counterexample before reporting.
+//! * [`sampler`] — the cold oracle for the topology generators' weighted
+//!   pair sampler: the original O(m·P) linear scan, which the certified
+//!   block-sum sampler must match bit for bit.
 //! * [`serve`] — the batched-admission oracle: seeded request scripts
 //!   through the `muerp-serve` engine and the sequential cold-routing
 //!   FCFS reference, every decision compared, admitted solutions
@@ -51,6 +54,7 @@ pub mod differential;
 pub mod fixture;
 pub mod fuzz;
 pub mod metamorphic;
+pub mod sampler;
 pub mod serve;
 pub mod shrink;
 pub mod simcheck;
@@ -64,6 +68,7 @@ pub use metamorphic::{
     check_qubit_monotonicity, check_relabeling_invariance, check_scaling_equivalence,
     check_scaling_law, MetamorphicFailure,
 };
+pub use sampler::sample_weighted_pairs_linear;
 pub use serve::{derive_requests, serve_check, serve_check_requests, shrink_requests};
 pub use shrink::greedy_shrink;
 pub use simcheck::{monte_carlo_agreement, AgreementReport, SimDisagreement};

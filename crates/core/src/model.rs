@@ -384,7 +384,8 @@ impl NetworkSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `users > topology.nodes`.
+    /// Panics if `users > topology.nodes` or the topology spec is invalid
+    /// (see [`TopologySpec::validate`]).
     pub fn build(&self, seed: u64) -> QuantumNetwork {
         let spatial = self.topology.generate(seed);
         self.build_from_spatial(&spatial, seed)

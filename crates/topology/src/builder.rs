@@ -21,9 +21,15 @@ pub fn place_nodes<R: Rng>(n: usize, area: f64, rng: &mut R) -> Vec<Point> {
 /// the same order as `pairs`). Zero-weight pairs are never selected unless
 /// the positive-weight pool is exhausted.
 ///
+/// Each draw is made by a [`PairSampler`] in O(log P) time after an O(P)
+/// set-up (O(P) for the rare exact fallback step), with output and RNG use
+/// bit-identical to the plain linear scan: re-sum the remaining weights,
+/// then subtract them in order until the target goes negative.
+///
 /// # Panics
 ///
-/// Panics if `m > pairs.len()` or the slices disagree in length.
+/// Panics if `m > pairs.len()`, the slices disagree in length, or a weight
+/// is negative or not finite.
 pub fn sample_weighted_pairs<R: Rng>(
     pairs: &[(usize, usize)],
     weights: &[f64],
@@ -36,29 +42,234 @@ pub fn sample_weighted_pairs<R: Rng>(
         "cannot sample {m} edges from {} candidate pairs",
         pairs.len()
     );
-    let mut remaining: Vec<usize> = (0..pairs.len()).collect();
-    let mut out = Vec::with_capacity(m);
-    while out.len() < m {
-        let total: f64 = remaining.iter().map(|&k| weights[k]).sum();
-        let picked_pos = if total > 0.0 {
-            let mut target = rng.random_range(0.0..total);
-            let mut pos = remaining.len() - 1; // fallback for fp round-off
-            for (idx, &k) in remaining.iter().enumerate() {
-                target -= weights[k];
-                if target < 0.0 {
-                    pos = idx;
-                    break;
+    let mut sampler = PairSampler::new(weights);
+    (0..m).map(|_| pairs[sampler.draw(rng)]).collect()
+}
+
+/// Positions per block of [`PairSampler`]'s sum tree.
+const BLOCK: usize = 64;
+
+/// Weighted sampling without replacement over a fixed weight slice, with
+/// the exact draws of the linear-scan reference.
+///
+/// # The reference step
+///
+/// The sampler keeps the not-yet-drawn indices in a `remaining` vector
+/// and removes each drawn one with `swap_remove`. The reference step over
+/// `n = remaining.len()` weights `w₀ … wₙ₋₁` (in `remaining` order, exact
+/// sum `S`, exact prefixes `Pᵢ = w₀ + … + wᵢ₋₁`) is:
+///
+/// 1. `F` = left fold of the weights; if `F == 0`, draw a position
+///    uniformly with `random_range(0..n)`.
+/// 2. Otherwise `t = random_range(0.0..F)`, which is `F·r` for one uniform
+///    `r ∈ [0, 1)` from one `next_u64` (pinned by a test: the code draws
+///    `r` and forms the product itself).
+/// 3. `T₀ = t`, `Tᵢ₊₁ = fl(Tᵢ − wᵢ)`; the first `k` with `Tₖ₊₁ < 0` is
+///    drawn, or `n − 1` if none is.
+///
+/// # Block sums and the certified step
+///
+/// Blocks of `B = 64` consecutive positions of `remaining` carry their
+/// left-folded sum, and a pairwise tree of depth `d` sums the blocks.
+/// After each `swap_remove` the two touched blocks are re-folded and
+/// their ancestors recomputed from their children, never delta-updated,
+/// so every node's error stays bounded by its height. With `u = 2⁻⁵³`
+/// and `γₖ = k·u / (1 − k·u)`, for non-negative weights:
+///
+/// * the reference total has `|F − S| ≤ γₙ₋₁·S`;
+/// * the tree total `G` has `|G − S| ≤ γ_{B−1+d}·S`;
+/// * the prefixes the descent builds (at most `d` node sums, then at most
+///   `B` weights of one block) have `|P̃ᵢ − Pᵢ| ≤ γ_{2B+2d}·Pᵢ`;
+/// * the reference chain has `|Tᵢ − (t − Pᵢ)| ≤ γᵢ·(t + Pᵢ)`;
+/// * the two products `t = fl(F·r)` and `est = fl(G·r)` differ by at
+///   most `|F − G| + u·(F + G)`.
+///
+/// The certified step descends the tree to `est` and scans one block for
+/// the position `k` with `P̃ₖ ≤ est < P̃ₖ₊₁`. It accepts `k` only if
+/// `est − P̃ₖ > M` and `P̃ₖ₊₁ − est > M`, where
+///
+/// ```text
+/// M = u · [(n + B + d + 1)·G + 2(B + d)·P̃ₖ₊₁ + (k + 1)·(est + P̃ₖ₊₁)] · (1 + 2⁻¹⁶)
+/// ```
+///
+/// The first term covers `|t − est|` (`(n − 1) + (B − 1 + d) + 2` to
+/// first order), the second the prefix error, the third the chain over
+/// its first `k + 1` steps, `γₖ₊₁·(t + Pₖ₊₁)`. The `+1` and the `2⁻¹⁶`
+/// slack cover the second-order terms (every index here is below `2³²`,
+/// so `γⱼ ≤ j·u·(1 + 2⁻²⁰)`, and `t`, `Pₖ₊₁` exceed `est`, `P̃ₖ₊₁` by at
+/// most `2⁻²⁰·G`), `S ≤ (1 + γ_{B−1+d})·G` and the rounding of `M` and of
+/// the two differences. Acceptance then gives `t − Pₖ > γₖ₊₁·(t + Pₖ₊₁)`
+/// and `Pₖ₊₁ − t > γₖ₊₁·(t + Pₖ₊₁)`: the reference chain stays `≥ 0`
+/// through position `k − 1` and goes negative at `k`, so it draws `k`
+/// too. A zero weight can never pass both tests.
+///
+/// # The exact fallback
+///
+/// When the test fails — `est` within `M` of a boundary, or `G` outside
+/// `[1e-280, 1e280]`, where the products could underflow or the sums
+/// overflow — the step runs the reference step verbatim with the same
+/// `r`. `G > 0` exactly when `F > 0`, since both are sums of finite
+/// non-negative weights, so the uniform branch is taken by the same test.
+/// [`PairSampler::exact_steps`] counts the fallbacks.
+#[derive(Clone, Debug)]
+pub struct PairSampler<'w> {
+    weights: &'w [f64],
+    remaining: Vec<usize>,
+    /// `tree[leaves + b]` is block `b`'s sum; `tree[i] = tree[2i] + tree[2i + 1]`.
+    tree: Vec<f64>,
+    leaves: usize,
+    exact_steps: usize,
+}
+
+impl<'w> PairSampler<'w> {
+    /// Smallest tree total the certified step accepts.
+    const MIN_TOTAL: f64 = 1e-280;
+    /// Largest tree total the certified step accepts.
+    const MAX_TOTAL: f64 = 1e280;
+    /// Covers the second-order terms of the margin bound.
+    const SLACK: f64 = 1.0 + 1.0 / 65_536.0;
+
+    /// A sampler over every index of `weights`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a weight is negative or not finite, or if there are
+    /// `2³²` or more weights.
+    pub fn new(weights: &'w [f64]) -> Self {
+        assert!(
+            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
+            "weights must be finite and non-negative"
+        );
+        assert!(
+            weights.len() < u32::MAX as usize,
+            "too many weights: {}",
+            weights.len()
+        );
+        let blocks = weights.len().div_ceil(BLOCK);
+        let leaves = blocks.next_power_of_two();
+        let mut sampler = PairSampler {
+            weights,
+            remaining: (0..weights.len()).collect(),
+            tree: vec![0.0; 2 * leaves],
+            leaves,
+            exact_steps: 0,
+        };
+        for b in 0..blocks {
+            sampler.tree[leaves + b] = sampler.block_sum(b);
+        }
+        for i in (1..leaves).rev() {
+            sampler.tree[i] = sampler.tree[2 * i] + sampler.tree[2 * i + 1];
+        }
+        sampler
+    }
+
+    /// How many draws so far fell back to the exact linear step.
+    pub fn exact_steps(&self) -> usize {
+        self.exact_steps
+    }
+
+    /// Draws one remaining index, with probability proportional to its
+    /// weight (uniformly once every remaining weight is zero), and
+    /// removes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sampler is empty.
+    pub fn draw<R: Rng>(&mut self, rng: &mut R) -> usize {
+        let pos = if self.tree[1] > 0.0 {
+            let r = rng.random_range(0.0..1.0);
+            match self.certified_pick(r) {
+                Some(pos) => pos,
+                None => {
+                    self.exact_steps += 1;
+                    self.exact_pick(r)
                 }
             }
-            pos
         } else {
-            // All remaining weights are zero: fall back to uniform.
-            rng.random_range(0..remaining.len())
+            rng.random_range(0..self.remaining.len())
         };
-        let k = remaining.swap_remove(picked_pos);
-        out.push(pairs[k]);
+        self.remove(pos)
     }
-    out
+
+    /// The certified step: the position the reference step draws for
+    /// uniform `r`, or `None` when the error bound cannot decide it.
+    fn certified_pick(&self, r: f64) -> Option<usize> {
+        let total = self.tree[1];
+        if !(Self::MIN_TOTAL..=Self::MAX_TOTAL).contains(&total) {
+            return None;
+        }
+        let est = total * r;
+        let (mut node, mut below) = (1, 0.0);
+        while node < self.leaves {
+            let split = below + self.tree[2 * node];
+            node *= 2;
+            if est >= split {
+                below = split;
+                node += 1;
+            }
+        }
+        let lo = (node - self.leaves) * BLOCK;
+        let hi = (lo + BLOCK).min(self.remaining.len());
+        for pos in lo..hi {
+            let above = below + self.weights[self.remaining[pos]];
+            if est < above {
+                let depth = self.leaves.trailing_zeros() as usize;
+                let bound = (self.remaining.len() + BLOCK + depth + 1) as f64 * total
+                    + (2 * (BLOCK + depth)) as f64 * above
+                    + (pos + 1) as f64 * (est + above);
+                let margin = bound * (f64::EPSILON / 2.0) * Self::SLACK;
+                return (est - below > margin && above - est > margin).then_some(pos);
+            }
+            below = above;
+        }
+        None
+    }
+
+    /// The reference step for uniform `r`, verbatim.
+    fn exact_pick(&self, r: f64) -> usize {
+        let total: f64 = self.remaining.iter().map(|&k| self.weights[k]).sum();
+        let mut target = total * r;
+        let mut pos = self.remaining.len() - 1; // fallback for fp round-off
+        for (idx, &k) in self.remaining.iter().enumerate() {
+            target -= self.weights[k];
+            if target < 0.0 {
+                pos = idx;
+                break;
+            }
+        }
+        pos
+    }
+
+    /// Removes position `pos` (`swap_remove`) and refreshes the sums of
+    /// the blocks it touched.
+    fn remove(&mut self, pos: usize) -> usize {
+        let last = self.remaining.len() - 1;
+        let k = self.remaining.swap_remove(pos);
+        self.refresh(pos / BLOCK);
+        if last / BLOCK != pos / BLOCK {
+            self.refresh(last / BLOCK);
+        }
+        k
+    }
+
+    /// Left fold of block `b`'s weights (0 past the end).
+    fn block_sum(&self, b: usize) -> f64 {
+        let hi = ((b + 1) * BLOCK).min(self.remaining.len());
+        let lo = (b * BLOCK).min(hi);
+        self.remaining[lo..hi]
+            .iter()
+            .fold(0.0, |sum, &k| sum + self.weights[k])
+    }
+
+    /// Re-folds block `b` and recomputes its ancestors from their children.
+    fn refresh(&mut self, b: usize) {
+        let mut node = self.leaves + b;
+        self.tree[node] = self.block_sum(b);
+        while node > 1 {
+            node /= 2;
+            self.tree[node] = self.tree[2 * node] + self.tree[2 * node + 1];
+        }
+    }
 }
 
 /// Builds a [`SpatialGraph`] from node positions and an edge list of node
@@ -141,7 +352,7 @@ mod tests {
     use super::*;
     use qnet_graph::connectivity::is_connected;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn place_nodes_in_bounds() {
@@ -188,6 +399,77 @@ mod tests {
         let weights = vec![0.0; pairs.len()];
         let picked = sample_weighted_pairs(&pairs, &weights, pairs.len(), &mut rng);
         assert_eq!(picked.len(), pairs.len());
+    }
+
+    /// Repeats one word, so every `random_range(0.0..1.0)` is one fixed `r`.
+    struct Repeat(u64);
+
+    impl RngCore for Repeat {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn float_range_draw_is_the_scaled_unit_draw() {
+        // The sampler draws `r = random_range(0.0..1.0)` and forms `total * r`
+        // itself; the reference draws `random_range(0.0..total)`. The two
+        // must agree bit for bit, on the same stream position.
+        for t in [
+            1e-300,
+            1e-12,
+            0.1,
+            1.0,
+            3.0,
+            1234.5678,
+            6.02e23,
+            1e300,
+            f64::MAX,
+        ] {
+            let mut direct = StdRng::seed_from_u64(77);
+            let mut scaled = StdRng::seed_from_u64(77);
+            for _ in 0..1000 {
+                let a: f64 = direct.random_range(0.0..t);
+                let b = t * scaled.random_range::<f64, _>(0.0..1.0);
+                assert_eq!(a.to_bits(), b.to_bits(), "t = {t}");
+            }
+            assert_eq!(direct.next_u64(), scaled.next_u64(), "t = {t}");
+        }
+    }
+
+    #[test]
+    fn certified_step_declines_on_an_exact_prefix_boundary() {
+        // Four unit weights and r = 1/2: est = 2.0 = P₂ exactly.
+        let weights = [1.0; 4];
+        let sampler = PairSampler::new(&weights);
+        assert_eq!(sampler.certified_pick(0.5), None);
+        // The reference chain: 2 − 1 = 1, 1 − 1 = 0 (not negative), 0 − 1 < 0.
+        assert_eq!(sampler.exact_pick(0.5), 2);
+        // Off the boundary the certified step decides alone.
+        assert_eq!(sampler.certified_pick(0.4), Some(1));
+
+        let mut sampler = PairSampler::new(&weights);
+        assert_eq!(sampler.draw(&mut Repeat(1 << 63)), 2);
+        assert_eq!(sampler.exact_steps(), 1);
+    }
+
+    #[test]
+    fn sum_tree_tracks_swap_removes() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let weights: Vec<f64> = (0..1000).map(|i| (i % 7) as f64).collect();
+        let mut sampler = PairSampler::new(&weights);
+        while !sampler.remaining.is_empty() {
+            sampler.draw(&mut rng);
+            let exact: f64 = sampler.remaining.iter().map(|&k| weights[k]).sum();
+            // Integer weights: every sum is exact in any order.
+            assert_eq!(sampler.tree[1], exact);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn negative_weights_are_rejected() {
+        PairSampler::new(&[1.0, -0.5]);
     }
 
     #[test]

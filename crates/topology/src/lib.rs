@@ -49,4 +49,4 @@ pub mod watts_strogatz;
 pub mod waxman;
 
 pub use point::Point;
-pub use spec::{SpatialGraph, TopologyKind, TopologySpec};
+pub use spec::{SpatialGraph, TopologyError, TopologyKind, TopologySpec};

@@ -109,14 +109,64 @@ impl TopologySpec {
         out
     }
 
+    /// Checks the generators' preconditions, so a bad spec becomes an
+    /// error before any generator can panic on it:
+    ///
+    /// * the average degree is finite and non-negative, and the area a
+    ///   finite positive side length;
+    /// * Waxman and Volchenkov need at least 2 nodes, and their
+    ///   `⌊D·n/2⌋` edges must fit in the `n·(n−1)/2` candidate pairs;
+    /// * Watts–Strogatz needs at least 3 nodes and an even integer
+    ///   degree `D < n`.
+    pub fn validate(&self) -> Result<(), TopologyError> {
+        let (kind, nodes, degree) = (self.kind, self.nodes, self.avg_degree);
+        if !(degree.is_finite() && degree >= 0.0) {
+            return Err(TopologyError::BadDegree { degree });
+        }
+        if !(self.area.is_finite() && self.area > 0.0) {
+            return Err(TopologyError::BadArea { area: self.area });
+        }
+        let min = if kind == TopologyKind::WattsStrogatz {
+            3
+        } else {
+            2
+        };
+        if nodes < min {
+            return Err(TopologyError::TooFewNodes { kind, nodes, min });
+        }
+        if kind == TopologyKind::WattsStrogatz {
+            let k = degree as usize;
+            if (degree - k as f64).abs() >= 1e-9 || !k.is_multiple_of(2) {
+                return Err(TopologyError::RingDegreeNotEven { degree });
+            }
+            if k >= nodes {
+                return Err(TopologyError::RingDegreeTooLarge { degree: k, nodes });
+            }
+        } else {
+            let edges = ((degree * nodes as f64) / 2.0).floor() as usize;
+            let pairs = nodes.saturating_mul(nodes - 1) / 2;
+            if edges > pairs {
+                return Err(TopologyError::TooManyEdges {
+                    degree,
+                    nodes,
+                    edges,
+                    pairs,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Generates a connected network from this spec, deterministically for
     /// a given `seed`.
     ///
     /// # Panics
     ///
-    /// Panics on degenerate sizes (see the individual generators) or, for
-    /// Watts–Strogatz, when `avg_degree` is not an even integer.
+    /// Panics if [`TopologySpec::validate`] rejects the spec.
     pub fn generate(&self, seed: u64) -> SpatialGraph {
+        if let Err(e) = self.validate() {
+            panic!("invalid topology spec: {e}");
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         match self.kind {
             TopologyKind::Waxman => waxman(
@@ -126,21 +176,13 @@ impl TopologySpec {
                 WaxmanParams::default(),
                 &mut rng,
             ),
-            TopologyKind::WattsStrogatz => {
-                let k = self.avg_degree as usize;
-                assert!(
-                    (self.avg_degree - k as f64).abs() < 1e-9,
-                    "Watts-Strogatz requires an integer average degree, got {}",
-                    self.avg_degree
-                );
-                watts_strogatz(
-                    self.nodes,
-                    k,
-                    self.area,
-                    WattsStrogatzParams::default(),
-                    &mut rng,
-                )
-            }
+            TopologyKind::WattsStrogatz => watts_strogatz(
+                self.nodes,
+                self.avg_degree as usize,
+                self.area,
+                WattsStrogatzParams::default(),
+                &mut rng,
+            ),
             TopologyKind::Volchenkov => volchenkov(
                 self.nodes,
                 self.avg_degree,
@@ -151,6 +193,90 @@ impl TopologySpec {
         }
     }
 }
+
+/// Why a [`TopologySpec`] cannot be generated (see
+/// [`TopologySpec::validate`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum TopologyError {
+    /// The average degree is negative, infinite or NaN.
+    BadDegree {
+        /// The rejected degree.
+        degree: f64,
+    },
+    /// The placement area is not a finite positive side length.
+    BadArea {
+        /// The rejected side length.
+        area: f64,
+    },
+    /// Fewer nodes than the generator needs.
+    TooFewNodes {
+        /// The generator.
+        kind: TopologyKind,
+        /// Requested node count.
+        nodes: usize,
+        /// The generator's minimum.
+        min: usize,
+    },
+    /// Waxman/Volchenkov: `⌊D·n/2⌋` exceeds the `n·(n−1)/2` node pairs.
+    TooManyEdges {
+        /// Requested average degree.
+        degree: f64,
+        /// Requested node count.
+        nodes: usize,
+        /// Edges the degree asks for.
+        edges: usize,
+        /// Candidate node pairs.
+        pairs: usize,
+    },
+    /// Watts–Strogatz: the degree is not an even integer.
+    RingDegreeNotEven {
+        /// The rejected degree.
+        degree: f64,
+    },
+    /// Watts–Strogatz: the ring degree is not below the node count.
+    RingDegreeTooLarge {
+        /// The ring degree.
+        degree: usize,
+        /// Requested node count.
+        nodes: usize,
+    },
+}
+
+impl std::fmt::Display for TopologyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            TopologyError::BadDegree { degree } => {
+                write!(f, "average degree must be finite and >= 0, got {degree}")
+            }
+            TopologyError::BadArea { area } => {
+                write!(f, "placement area must be finite and > 0, got {area}")
+            }
+            TopologyError::TooFewNodes { kind, nodes, min } => {
+                write!(f, "{kind} needs at least {min} nodes, got {nodes}")
+            }
+            TopologyError::TooManyEdges {
+                degree,
+                nodes,
+                edges,
+                pairs,
+            } => write!(
+                f,
+                "average degree {degree} over {nodes} nodes asks for {edges} edges, \
+                 but there are only {pairs} node pairs"
+            ),
+            TopologyError::RingDegreeNotEven { degree } => write!(
+                f,
+                "Watts-Strogatz needs an even integer average degree, got {degree}"
+            ),
+            TopologyError::RingDegreeTooLarge { degree, nodes } => write!(
+                f,
+                "Watts-Strogatz degree {degree} must be below the node count {nodes}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TopologyError {}
 
 #[cfg(test)]
 mod tests {
@@ -214,11 +340,129 @@ mod tests {
                 );
                 assert!(c.nodes >= 8);
                 assert!(c.avg_degree >= 2.0);
+                assert_eq!(c.validate(), Ok(()), "{kind}: {c:?}");
                 // Every candidate must actually generate.
                 let g = c.generate(99);
                 assert_eq!(g.node_count(), c.nodes, "{kind}");
             }
         }
+    }
+
+    #[test]
+    fn validate_rejects_each_degenerate_spec() {
+        let waxman = TopologySpec::paper_default();
+        let ws = TopologySpec {
+            kind: TopologyKind::WattsStrogatz,
+            ..waxman
+        };
+        assert_eq!(waxman.validate(), Ok(()));
+        assert_eq!(ws.validate(), Ok(()));
+        let cases = [
+            (
+                TopologySpec {
+                    avg_degree: 1000.0,
+                    ..waxman
+                },
+                TopologyError::TooManyEdges {
+                    degree: 1000.0,
+                    nodes: 60,
+                    edges: 30_000,
+                    pairs: 1770,
+                },
+            ),
+            (
+                TopologySpec {
+                    avg_degree: f64::INFINITY,
+                    ..waxman
+                },
+                TopologyError::BadDegree {
+                    degree: f64::INFINITY,
+                },
+            ),
+            (
+                TopologySpec {
+                    avg_degree: -2.0,
+                    ..waxman
+                },
+                TopologyError::BadDegree { degree: -2.0 },
+            ),
+            (
+                TopologySpec {
+                    area: 0.0,
+                    ..waxman
+                },
+                TopologyError::BadArea { area: 0.0 },
+            ),
+            (
+                TopologySpec { nodes: 1, ..waxman },
+                TopologyError::TooFewNodes {
+                    kind: TopologyKind::Waxman,
+                    nodes: 1,
+                    min: 2,
+                },
+            ),
+            (
+                TopologySpec { nodes: 2, ..ws },
+                TopologyError::TooFewNodes {
+                    kind: TopologyKind::WattsStrogatz,
+                    nodes: 2,
+                    min: 3,
+                },
+            ),
+            (
+                TopologySpec {
+                    avg_degree: 5.0,
+                    ..ws
+                },
+                TopologyError::RingDegreeNotEven { degree: 5.0 },
+            ),
+            (
+                TopologySpec {
+                    avg_degree: 4.5,
+                    ..ws
+                },
+                TopologyError::RingDegreeNotEven { degree: 4.5 },
+            ),
+            (
+                TopologySpec { nodes: 6, ..ws },
+                TopologyError::RingDegreeTooLarge {
+                    degree: 6,
+                    nodes: 6,
+                },
+            ),
+        ];
+        for (spec, want) in cases {
+            assert_eq!(spec.validate(), Err(want), "{spec:?}");
+            assert!(!want.to_string().contains('\n'));
+        }
+        // NaN compares unequal to itself, so match the variant.
+        let nan = TopologySpec {
+            avg_degree: f64::NAN,
+            ..waxman
+        };
+        assert!(matches!(
+            nan.validate(),
+            Err(TopologyError::BadDegree { .. })
+        ));
+        // The densest spec that fits is still valid.
+        let complete = TopologySpec {
+            nodes: 8,
+            avg_degree: 7.0,
+            ..waxman
+        };
+        assert_eq!(complete.validate(), Ok(()));
+        assert_eq!(complete.generate(1).edge_count(), 28);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid topology spec: Watts-Strogatz needs an even integer")]
+    fn generate_panics_with_the_typed_message() {
+        TopologySpec {
+            kind: TopologyKind::WattsStrogatz,
+            avg_degree: 5.0,
+            ..TopologySpec::paper_default()
+        }
+        .generate(1);
     }
 
     #[test]

@@ -63,17 +63,28 @@ pub fn waxman_over<R: Rng>(
     params: WaxmanParams,
     rng: &mut R,
 ) -> SpatialGraph {
-    let l_max = area * std::f64::consts::SQRT_2;
     let pairs = all_pairs(positions.len());
-    let weights: Vec<f64> = pairs
-        .iter()
-        .map(|&(i, j)| {
-            let d = positions[i].distance(positions[j]);
-            params.beta * (-d / (params.alpha * l_max)).exp()
-        })
-        .collect();
+    let weights = waxman_weights(positions, area, params);
     let edges = sample_weighted_pairs(&pairs, &weights, m, rng);
     assemble(positions, &edges)
+}
+
+/// The Waxman kernel `β · exp(−d / (α_w · L))` of every node pair, in
+/// [`all_pairs`] order, with `L` the diagonal of the `[0, area]²` square.
+pub fn waxman_weights(positions: &[Point], area: f64, params: WaxmanParams) -> Vec<f64> {
+    let l_max = area * std::f64::consts::SQRT_2;
+    // Walks the pairs directly, into an exactly sized vector: a second
+    // `all_pairs` vector next to the caller's would add 16 bytes per pair
+    // to peak memory.
+    let n = positions.len();
+    let mut weights = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+    for (i, a) in positions.iter().enumerate() {
+        for b in &positions[i + 1..] {
+            let d = a.distance(*b);
+            weights.push(params.beta * (-d / (params.alpha * l_max)).exp());
+        }
+    }
+    weights
 }
 
 #[cfg(test)]

@@ -88,8 +88,11 @@ fn parse() -> Result<Args, String> {
             }
         }
     }
-    spec.topology.nodes = switches + users;
+    spec.topology.nodes = switches
+        .checked_add(users)
+        .ok_or("--switches plus --users overflows the node count")?;
     spec.users = users;
+    spec.topology.validate().map_err(|e| e.to_string())?;
     Ok(Args {
         spec,
         seed,
