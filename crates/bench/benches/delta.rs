@@ -31,8 +31,8 @@
 use muerp_bench::{measure_ns_median, quick_mode, scaled_network, write_bench_report};
 use muerp_core::algorithms::ChannelFinderCache;
 use muerp_core::prelude::*;
-use qnet_graph::paths::{dijkstra_adj_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace};
-use qnet_graph::{dijkstra_repair_into, CsrGraph, EdgeRef, NodeId, RepairScratch, SsspDelta};
+use qnet_graph::paths::{dijkstra_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace};
+use qnet_graph::{dijkstra_repair_into, EdgeRef, NodeId, RepairScratch, SsspDelta};
 use qnet_pool::Pool;
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -70,14 +70,13 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
     let net = scaled_network(switches, seed);
     let capacity = CapacityMap::new(&net);
     let users = net.users().to_vec();
-    let csr = CsrGraph::from_graph(net.graph());
     let mut ws = DijkstraWorkspace::with_capacity(net.graph().node_count());
 
     // Pre-delta baselines for every user source, full capacity.
     let cfg = muerp_config(&net, &capacity);
     let baselines: Vec<DijkstraRun> = users
         .iter()
-        .map(|&u| dijkstra_adj_into(&mut ws, &csr, net.graph(), u, &cfg).to_run())
+        .map(|&u| dijkstra_into(&mut ws, net.graph(), u, &cfg).to_run())
         .collect();
     let victim = relay_victim(&net, &baselines[0], users[0], users[1]);
 
@@ -95,7 +94,7 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
         .filter(|run| {
             ws.load_run(run);
             let (_, stats) =
-                dijkstra_repair_into(&mut ws, &mut scratch, &csr, net.graph(), &cfg_post, &delta);
+                dijkstra_repair_into(&mut ws, &mut scratch, net.graph(), &cfg_post, &delta);
             !stats.is_clean()
         })
         .count();
@@ -105,14 +104,13 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
     let finder_delta_repair = measure_ns_median(|| {
         for run in &baselines {
             ws.load_run(run);
-            let out =
-                dijkstra_repair_into(&mut ws, &mut scratch, &csr, net.graph(), &cfg_post, &delta);
+            let out = dijkstra_repair_into(&mut ws, &mut scratch, net.graph(), &cfg_post, &delta);
             black_box(out.0.distance(users[0]));
         }
     });
     let finder_delta_wholesale = measure_ns_median(|| {
         for &u in &users {
-            let view = dijkstra_adj_into(&mut ws, &csr, net.graph(), u, &cfg_post);
+            let view = dijkstra_into(&mut ws, net.graph(), u, &cfg_post);
             black_box(view.distance(users[0]));
         }
     });

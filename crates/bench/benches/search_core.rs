@@ -1,19 +1,16 @@
-//! Fresh-alloc vs workspace vs cached vs CSR vs pooled search paths.
+//! Fresh-alloc vs workspace vs cached vs pooled search paths.
 //!
 //! Every MUERP algorithm bottoms out in Algorithm 1's Dijkstra search;
 //! this bench quantifies the ways of invoking it that the search
-//! workspace, CSR adjacency, and worker-pool layers introduced:
+//! workspace, finder cache, and worker-pool layers introduced:
 //!
-//! * **fresh** — the compatibility wrappers (`dijkstra`,
-//!   `ChannelFinder::from_source`, `k_shortest_paths`): a private
-//!   workspace is allocated per call and the result is materialized into
-//!   owned buffers.
-//! * **workspace** — the `_in` entry points on one long-lived
+//! * **fresh** — a private workspace allocated per call
+//!   (`dijkstra_into`/`k_shortest_paths_in` on a new
+//!   [`DijkstraWorkspace`], `ChannelFinder::from_source`) and the result
+//!   materialized into owned buffers.
+//! * **workspace** — the same entry points on one long-lived
 //!   [`DijkstraWorkspace`]: generation-stamped O(1) reset, zero
 //!   steady-state allocation, borrowed result views.
-//! * **csr** — the same workspace entry points traversing a
-//!   [`CsrGraph`] structure-of-arrays adjacency instead of the
-//!   per-node `Vec` lists (one contiguous arena, offset-indexed).
 //! * **cached** — [`ChannelFinderCache`] keyed by `(source, capacity
 //!   epoch)`: repeat queries under unchanged capacity skip the search
 //!   entirely; a `refresh` row shows the in-place re-run cost after an
@@ -39,11 +36,9 @@ use muerp_bench::{
 };
 use muerp_core::algorithms::{ChannelFinder, ChannelFinderCache};
 use muerp_core::prelude::*;
-use qnet_graph::ksp::{k_shortest_paths, k_shortest_paths_adj_in, k_shortest_paths_in};
-use qnet_graph::paths::{
-    dijkstra, dijkstra_csr_into, dijkstra_into, DijkstraConfig, DijkstraWorkspace,
-};
-use qnet_graph::{CsrGraph, EdgeRef, NodeId};
+use qnet_graph::ksp::k_shortest_paths_in;
+use qnet_graph::paths::{dijkstra_into, DijkstraConfig, DijkstraWorkspace};
+use qnet_graph::{EdgeRef, NodeId};
 use qnet_pool::Pool;
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -73,24 +68,18 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
     let capacity = CapacityMap::new(&net);
     let users = net.users().to_vec();
     let cfg = muerp_config(&net, &capacity);
-    let csr = CsrGraph::from_graph(net.graph());
 
     // --- Raw Dijkstra: one all-sources sweep per op. ---
     let dijkstra_fresh = measure_ns_median(|| {
         for &u in &users {
-            black_box(dijkstra(net.graph(), u, &cfg));
+            let mut fresh_ws = DijkstraWorkspace::new();
+            black_box(dijkstra_into(&mut fresh_ws, net.graph(), u, &cfg).to_run());
         }
     });
     let mut ws = DijkstraWorkspace::with_capacity(net.graph().node_count());
     let dijkstra_workspace = measure_ns_median(|| {
         for &u in &users {
             let view = dijkstra_into(&mut ws, net.graph(), u, &cfg);
-            black_box(view.distance(users[0]));
-        }
-    });
-    let dijkstra_csr = measure_ns_median(|| {
-        for &u in &users {
-            let view = dijkstra_csr_into(&mut ws, &csr, net.graph(), u, &cfg);
             black_box(view.distance(users[0]));
         }
     });
@@ -156,10 +145,10 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
     // write-out) copies the result in one pass — it must not cost more
     // than the fill path that allocates those buffers from scratch. The
     // fill op is the *only* sound denominator for a tight gate here:
-    // fresh (`ChannelFinder::from_source`) runs a differently
-    // monomorphized search (graph adjacency, not CSR), and on this
-    // host's single core the relative alignment luck of the two loops
-    // swings their ratio by ±20% per compiled binary. Refresh-vs-fresh
+    // fresh (`ChannelFinder::from_source`) runs a separately compiled
+    // search loop, and on a single-core host the relative alignment
+    // luck of the two loops swings their ratio by ±20% per compiled
+    // binary. Refresh-vs-fresh
     // is still reported (and loosely bounded) below; refresh-vs-fill is
     // the invariant. Quick mode's tiny windows are too noisy for either.
     if !quick_mode() {
@@ -180,15 +169,9 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
     // --- Yen KSP between the first user pair. ---
     let (a, b) = (users[0], users[1]);
     let ksp_fresh = measure_ns_median(|| {
-        black_box(k_shortest_paths(net.graph(), a, b, KSP_K, &cfg));
-    });
-    let ksp_workspace = measure_ns_median(|| {
-        black_box(k_shortest_paths_in(&mut ws, net.graph(), a, b, KSP_K, &cfg));
-    });
-    let ksp_csr = measure_ns_median(|| {
-        black_box(k_shortest_paths_adj_in(
-            &mut ws,
-            &csr,
+        let mut fresh_ws = DijkstraWorkspace::new();
+        black_box(k_shortest_paths_in(
+            &mut fresh_ws,
             net.graph(),
             a,
             b,
@@ -196,11 +179,13 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
             &cfg,
         ));
     });
+    let ksp_workspace = measure_ns_median(|| {
+        black_box(k_shortest_paths_in(&mut ws, net.graph(), a, b, KSP_K, &cfg));
+    });
 
     let rows = [
         ("dijkstra_fresh_ns", dijkstra_fresh),
         ("dijkstra_workspace_ns", dijkstra_workspace),
-        ("dijkstra_csr_ns", dijkstra_csr),
         ("finder_fresh_ns", finder_fresh),
         ("finder_workspace_ns", finder_workspace),
         ("finder_cached_ns", finder_cached),
@@ -208,7 +193,6 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
         ("finder_refresh_ns", finder_refresh),
         ("ksp_fresh_ns", ksp_fresh),
         ("ksp_workspace_ns", ksp_workspace),
-        ("ksp_csr_ns", ksp_csr),
     ];
     println!("search_core/{label} ({switches} switches):");
     for (name, ns) in rows {
@@ -224,10 +208,6 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
     obj.insert(
         "speedup_workspace_vs_fresh".into(),
         Value::from(dijkstra_fresh / dijkstra_workspace),
-    );
-    obj.insert(
-        "speedup_csr_vs_workspace".into(),
-        Value::from(dijkstra_workspace / dijkstra_csr),
     );
     obj.insert(
         "speedup_cached_vs_fresh".into(),

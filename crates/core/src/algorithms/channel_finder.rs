@@ -12,62 +12,39 @@
 
 use std::cell::Cell;
 
-use qnet_graph::paths::{dijkstra_adj_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace};
+use qnet_graph::paths::{dijkstra_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace};
 use qnet_graph::{
-    dijkstra_repair_into, Adjacency, CsrGraph, DeltaClassifier, EdgeRef, NodeId, RepairScratch,
-    SearchMask, SsspDelta,
+    dijkstra_repair_into, DeltaClassifier, EdgeRef, NodeId, RepairScratch, SearchMask, SsspDelta,
 };
 use qnet_pool::Pool;
 
 use crate::channel::{CapacityMap, Channel};
 use crate::model::QuantumNetwork;
 
-/// The search half of [`run_algorithm1`]: runs Algorithm 1 from
-/// `source` over any [`Adjacency`] view of the network's graph and
-/// returns the borrowed view plus the run's full-switch rejection
-/// tally — **without** touching the flight recorder or flushing the
-/// rejection counter.
+/// Algorithm 1's search configuration under `capacity` — the one place
+/// the `α·L − ln q` edge cost and the capacity-aware relay filter are
+/// defined. Edge cost `α·L − ln q` is non-negative since q ≤ 1. A
+/// degenerate q = 0 makes every swap impossible; only direct user-user
+/// fibers (zero swaps) remain usable, which is expressed by forbidding
+/// all relaying while keeping single edges finite.
 ///
-/// That restraint is what makes the function safe to call from pool
-/// workers: the flight-recorder ring orders events by arrival, so
-/// worker-side emission would make trace contents depend on thread
-/// scheduling. Callers flush via [`finish_finder_run`] on the
-/// submitting thread, in a deterministic order. The per-run span and
-/// the `core.channel.finder_runs` counter *are* recorded here (span
-/// parentage is safe cross-thread through the pool's span-context
-/// adoption, and counter totals are order-independent).
-fn run_algorithm1_quiet<'w, A: Adjacency + ?Sized>(
-    ws: &'w mut DijkstraWorkspace,
-    adj: &A,
-    net: &QuantumNetwork,
-    capacity: &CapacityMap,
-    source: NodeId,
-    mask: Option<&SearchMask>,
-) -> (qnet_graph::DijkstraView<'w>, u64) {
+/// Every switch the filter turns away for lack of free qubits bumps
+/// `rejected_full`. Dijkstra consults the relay filter at most once per
+/// vertex per run (settled vertices are never re-queried), so after one
+/// search the tally counts *distinct* full switches — returned to the
+/// caller instead of paying an atomic per rejection inside the search.
+fn algorithm1_config<'a>(
+    net: &'a QuantumNetwork,
+    capacity: &'a CapacityMap,
+    rejected_full: &'a Cell<u64>,
+) -> DijkstraConfig<impl Fn(EdgeRef<'_, f64>) -> f64 + 'a, impl Fn(NodeId) -> bool + 'a> {
     let q = net.physics().swap_success;
     let alpha = net.physics().attenuation;
-    // Edge cost α·L − ln q (non-negative since q ≤ 1). A degenerate
-    // q = 0 makes every swap impossible; only direct user-user fibers
-    // (zero swaps) remain usable, which we express by forbidding all
-    // relaying while keeping single edges finite.
     let neg_ln_q = if q > 0.0 { -(q.ln()) } else { 0.0 };
     let swaps_possible = q > 0.0;
-    // Dijkstra consults the relay filter at most once per vertex per run
-    // (settled vertices are never re-queried), so this tally counts
-    // *distinct* full switches for this run — returned to the caller
-    // instead of paying an atomic per rejection inside the search.
-    let rejected_full = Cell::new(0u64);
-    let cfg = DijkstraConfig {
-        edge_cost: move |e: EdgeRef<'_, f64>| {
-            if mask.is_some_and(|m| m.blocks(e.id, e.a, e.b)) {
-                return f64::INFINITY;
-            }
-            alpha * *e.payload + neg_ln_q
-        },
-        can_relay: |v: NodeId| {
-            if mask.is_some_and(|m| m.node_dead(v)) {
-                return false;
-            }
+    DijkstraConfig {
+        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
+        can_relay: move |v: NodeId| {
             if !(swaps_possible && net.kind(v).is_switch()) {
                 return false;
             }
@@ -77,12 +54,38 @@ fn run_algorithm1_quiet<'w, A: Adjacency + ?Sized>(
             }
             true
         },
-    };
+    }
+}
+
+/// The search half of [`run_algorithm1`]: runs Algorithm 1 from
+/// `source` and returns the borrowed view plus the run's full-switch
+/// rejection tally — **without** touching the flight recorder or
+/// flushing the rejection counter.
+///
+/// That restraint is what makes the function safe to call from pool
+/// workers: the flight-recorder ring orders events by arrival, so
+/// worker-side emission would make trace contents depend on thread
+/// scheduling. Callers flush via [`finish_finder_run`] on the
+/// submitting thread, in a deterministic order. The per-run span and
+/// the `core.channel.finder_runs` counter *are* recorded here (span
+/// parentage is safe cross-thread through the pool's span-context
+/// adoption, and counter totals are order-independent).
+fn run_algorithm1_quiet<'w>(
+    ws: &'w mut DijkstraWorkspace,
+    net: &QuantumNetwork,
+    capacity: &CapacityMap,
+    source: NodeId,
+    mask: Option<&SearchMask>,
+) -> (qnet_graph::DijkstraView<'w>, u64) {
+    let rejected_full = Cell::new(0u64);
+    let cfg = algorithm1_config(net, capacity, &rejected_full);
     qnet_obs::counter!("core.channel.finder_runs");
     let _span = qnet_obs::span!("core.channel.finder_run");
-    let view = dijkstra_adj_into(ws, adj, net.graph(), source, &cfg);
-    let n = rejected_full.get();
-    (view, n)
+    let view = match mask {
+        Some(mask) => dijkstra_into(ws, net.graph(), source, &mask.restrict(&cfg)),
+        None => dijkstra_into(ws, net.graph(), source, &cfg),
+    };
+    (view, rejected_full.get())
 }
 
 /// The bookkeeping half of [`run_algorithm1`]: flushes a run's
@@ -107,12 +110,10 @@ fn finish_finder_run(source: NodeId, rejected_full: u64, epoch: u64) {
 /// `ws`; the caller materializes it however it likes (fresh
 /// [`DijkstraRun`] or in-place refresh of an existing one).
 ///
-/// This is the one place the `α·L − ln q` cost and the capacity-aware
-/// relay filter are defined; [`ChannelFinder`] and
-/// [`ChannelFinderCache`] both route through it (the cache via the
-/// split [`run_algorithm1_quiet`]/[`finish_finder_run`] halves and its
-/// frozen CSR adjacency). A failure `mask` excludes dead edges and
-/// vertices (survivability repair); `None` searches the intact network.
+/// [`ChannelFinder`] and [`ChannelFinderCache`] both route through it
+/// (the cache via the split [`run_algorithm1_quiet`]/[`finish_finder_run`]
+/// halves). A failure `mask` excludes dead edges and vertices
+/// (survivability repair); `None` searches the intact network.
 fn run_algorithm1<'w>(
     ws: &'w mut DijkstraWorkspace,
     net: &QuantumNetwork,
@@ -120,7 +121,7 @@ fn run_algorithm1<'w>(
     source: NodeId,
     mask: Option<&SearchMask>,
 ) -> qnet_graph::DijkstraView<'w> {
-    let (view, rejected) = run_algorithm1_quiet(ws, net.graph(), net, capacity, source, mask);
+    let (view, rejected) = run_algorithm1_quiet(ws, net, capacity, source, mask);
     finish_finder_run(source, rejected, capacity.epoch());
     view
 }
@@ -266,36 +267,28 @@ pub fn max_rate_channel(
 /// into the workspace and patches it for the given newly-blocked relay
 /// set instead of re-running the search from scratch.
 ///
-/// The configuration is the exact Algorithm-1 cost/relay pair of
-/// [`run_algorithm1_quiet`] minus the mask branch (repairs only serve
-/// unmasked entries) and the rejection tally (a repair consults only
-/// the shrunken region, so its tally would not be comparable to a full
-/// run's); `capacity` must already reflect the blocked nodes, which is
-/// guaranteed because the blocked set is derived by diffing relay
-/// states against that same map.
+/// The configuration is the unmasked [`algorithm1_config`] (repairs
+/// only serve unmasked entries) with its rejection tally discarded (a
+/// repair consults only the shrunken region, so its tally would not be
+/// comparable to a full run's); `capacity` must already reflect the
+/// blocked nodes, which is guaranteed because the blocked set is
+/// derived by diffing relay states against that same map.
 fn repair_algorithm1(
     ws: &mut DijkstraWorkspace,
     scratch: &mut RepairScratch,
-    csr: &CsrGraph,
     net: &QuantumNetwork,
     capacity: &CapacityMap,
     run: &mut DijkstraRun,
     blocked: &[NodeId],
 ) -> qnet_graph::RepairStats {
-    let q = net.physics().swap_success;
-    let alpha = net.physics().attenuation;
-    let neg_ln_q = if q > 0.0 { -(q.ln()) } else { 0.0 };
-    let swaps_possible = q > 0.0;
-    let cfg = DijkstraConfig {
-        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
-        can_relay: |v: NodeId| swaps_possible && net.kind(v).is_switch() && capacity.can_relay(v),
-    };
+    let unreported = Cell::new(0u64);
+    let cfg = algorithm1_config(net, capacity, &unreported);
     let mut delta = SsspDelta::new();
     for &v in blocked {
         delta.block_node(v);
     }
     ws.load_run(run);
-    let (view, stats) = dijkstra_repair_into(ws, scratch, csr, net.graph(), &cfg, &delta);
+    let (view, stats) = dijkstra_repair_into(ws, scratch, net.graph(), &cfg, &delta);
     view.write_run(run);
     stats
 }
@@ -409,12 +402,6 @@ struct Entry<'n> {
 /// [`search_count`]: ChannelFinderCache::search_count
 pub struct ChannelFinderCache<'n> {
     net: &'n QuantumNetwork,
-    /// The network graph's adjacency frozen into CSR form at cache
-    /// construction: every search this cache runs — sequential misses
-    /// and pooled [`warm`](ChannelFinderCache::warm) batches alike —
-    /// iterates this flat, thread-shareable layout instead of chasing
-    /// the graph's per-node `Vec`s.
-    csr: CsrGraph,
     /// Fans [`warm`](ChannelFinderCache::warm) batches out over worker
     /// threads; sized by `MUERP_THREADS`/available parallelism. Results
     /// are merged in source order, so the cache's observable state is
@@ -496,7 +483,6 @@ impl<'n> ChannelFinderCache<'n> {
         let nodes = net.graph().node_count();
         ChannelFinderCache {
             net,
-            csr: CsrGraph::from_graph(net.graph()),
             pool,
             ws: DijkstraWorkspace::with_capacity(nodes),
             entries: (0..nodes).map(|_| None).collect(),
@@ -645,7 +631,6 @@ impl<'n> ChannelFinderCache<'n> {
                 repair_algorithm1(
                     &mut self.ws,
                     &mut self.scratch,
-                    &self.csr,
                     self.net,
                     capacity,
                     &mut entry.finder.run,
@@ -665,7 +650,7 @@ impl<'n> ChannelFinderCache<'n> {
                 }
                 self.efficiency.refreshes += 1;
                 let (view, rejected) =
-                    run_algorithm1_quiet(&mut self.ws, &self.csr, self.net, capacity, source, mask);
+                    run_algorithm1_quiet(&mut self.ws, self.net, capacity, source, mask);
                 view.write_run(&mut entry.finder.run);
                 entry.finder.epoch = epoch;
                 finish_finder_run(source, rejected, epoch);
@@ -677,7 +662,7 @@ impl<'n> ChannelFinderCache<'n> {
                 qnet_obs::counter!("core.channel.cache_misses");
                 self.efficiency.fills += 1;
                 let (view, rejected) =
-                    run_algorithm1_quiet(&mut self.ws, &self.csr, self.net, capacity, source, mask);
+                    run_algorithm1_quiet(&mut self.ws, self.net, capacity, source, mask);
                 let finder = ChannelFinder {
                     net: self.net,
                     run: view.to_run(),
@@ -701,8 +686,8 @@ impl<'n> ChannelFinderCache<'n> {
     /// Batch-refreshes the entries for `sources` under `(capacity,
     /// mask)` — **Algorithm 1 as a multi-source batch**. Sources whose
     /// entry is already fresh are skipped; the rest are searched
-    /// concurrently on the cache's [`Pool`] over the frozen CSR
-    /// adjacency, each stale entry's result buffers recycled as the
+    /// concurrently on the cache's [`Pool`] (workers share the
+    /// network graph read-only), each stale entry's result buffers recycled as the
     /// staging target. Subsequent [`finder`](ChannelFinderCache::finder)
     /// calls for these sources at the same epoch are then cache hits.
     ///
@@ -762,7 +747,6 @@ impl<'n> ChannelFinderCache<'n> {
                     repair_algorithm1(
                         &mut self.ws,
                         &mut self.scratch,
-                        &self.csr,
                         self.net,
                         capacity,
                         &mut entry.finder.run,
@@ -805,20 +789,19 @@ impl<'n> ChannelFinderCache<'n> {
             let mut out = Vec::with_capacity(jobs.len());
             for (src, mut run) in jobs {
                 let (view, rejected) =
-                    run_algorithm1_quiet(&mut self.ws, &self.csr, self.net, capacity, src, mask);
+                    run_algorithm1_quiet(&mut self.ws, self.net, capacity, src, mask);
                 view.write_run(&mut run);
                 out.push((src, run, rejected));
             }
             out
         } else {
             let net = self.net;
-            let csr = &self.csr;
-            let order = csr.node_count();
+            let order = net.graph().node_count();
             self.pool.map(
                 jobs,
                 || DijkstraWorkspace::with_capacity(order),
                 |ws, (src, mut run), _| {
-                    let (view, rejected) = run_algorithm1_quiet(ws, csr, net, capacity, src, mask);
+                    let (view, rejected) = run_algorithm1_quiet(ws, net, capacity, src, mask);
                     view.write_run(&mut run);
                     (src, run, rejected)
                 },
@@ -893,8 +876,7 @@ impl<'n> ChannelFinderCache<'n> {
         self.efficiency
     }
 
-    /// Drops every memoized entry (the frozen CSR adjacency, pool, and
-    /// tallies are kept): the next lookup per source is a *fill*, not a
+    /// Drops every memoized entry (the pool and tallies are kept): the next lookup per source is a *fill*, not a
     /// refresh. This is how the search-core bench measures the fill path
     /// in isolation — refreshes and fills run the identical search; only
     /// the result buffers differ (recycled vs freshly allocated).

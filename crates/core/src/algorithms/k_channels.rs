@@ -5,41 +5,19 @@
 //! capacity conflict can be resolved by "second-best here, best there".
 //! This is Yen's algorithm under the MUERP edge cost and relay filter.
 
-use qnet_graph::ksp::{k_shortest_paths_in, k_shortest_paths_pooled_in};
+use qnet_graph::ksp::k_shortest_paths_in;
 use qnet_graph::paths::{DijkstraConfig, DijkstraWorkspace};
-use qnet_graph::{CsrGraph, EdgeRef, NodeId};
-use qnet_pool::Pool;
+use qnet_graph::{EdgeRef, NodeId};
 
 use crate::channel::{CapacityMap, Channel};
 use crate::model::QuantumNetwork;
-
-/// Below this vertex count a pooled Yen run is all coordination and no
-/// work (spur searches finish in microseconds), so
-/// [`k_best_channels_pooled_in`] callers typically drop to a sequential
-/// pool for smaller graphs. Parallel and sequential runs return bitwise
-/// identical channels either way — the threshold is purely a
-/// wall-clock heuristic, so flipping it never changes solver output.
-pub const YEN_POOL_MIN_NODES: usize = 512;
 
 /// The `k` highest-rate channels between users `a` and `b` under the
 /// residual `capacity`, sorted by rate descending. Fewer are returned
 /// when fewer admissible simple channels exist.
 ///
-/// Allocates a private search workspace; callers in a loop should hold a
-/// [`DijkstraWorkspace`] and use [`k_best_channels_in`].
-pub fn k_best_channels(
-    net: &QuantumNetwork,
-    capacity: &CapacityMap,
-    a: NodeId,
-    b: NodeId,
-    k: usize,
-) -> Vec<Channel> {
-    let mut ws = DijkstraWorkspace::new();
-    k_best_channels_in(&mut ws, net, capacity, a, b, k)
-}
-
-/// [`k_best_channels`] on a caller-provided workspace: every spur search
-/// of the underlying Yen run reuses the same buffers.
+/// Every spur search of the underlying Yen run reuses `ws`'s buffers;
+/// callers in a loop should hold one workspace across queries.
 pub fn k_best_channels_in(
     ws: &mut DijkstraWorkspace,
     net: &QuantumNetwork,
@@ -62,51 +40,7 @@ pub fn k_best_channels_in(
         edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
         can_relay: |v: NodeId| net.kind(v).is_switch() && capacity.can_relay(v),
     };
-    let paths = k_shortest_paths_in(ws, net.graph(), a, b, k, &cfg);
-    finish_k_best(net, capacity, a, b, paths)
-}
-
-/// [`k_best_channels_in`] with the spur searches of each Yen round
-/// fanned out over `pool`, traversing the prebuilt CSR adjacency.
-///
-/// Returns exactly what [`k_best_channels_in`] returns — the pooled Yen
-/// core merges speculative spur results in the sequential order, so the
-/// channel list is bitwise identical at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn k_best_channels_pooled_in(
-    pool: &Pool,
-    ws: &mut DijkstraWorkspace,
-    csr: &CsrGraph,
-    net: &QuantumNetwork,
-    capacity: &CapacityMap,
-    a: NodeId,
-    b: NodeId,
-    k: usize,
-) -> Vec<Channel> {
-    let q = net.physics().swap_success;
-    if q <= 0.0 {
-        return super::channel_finder::max_rate_channel(net, capacity, a, b)
-            .into_iter()
-            .collect();
-    }
-    let alpha = net.physics().attenuation;
-    let neg_ln_q = -(q.ln());
-    let cfg = DijkstraConfig {
-        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
-        can_relay: |v: NodeId| net.kind(v).is_switch() && capacity.can_relay(v),
-    };
-    let paths = k_shortest_paths_pooled_in(pool, ws, csr, net.graph(), a, b, k, &cfg);
-    finish_k_best(net, capacity, a, b, paths)
-}
-
-fn finish_k_best(
-    net: &QuantumNetwork,
-    capacity: &CapacityMap,
-    a: NodeId,
-    b: NodeId,
-    paths: Vec<qnet_graph::Path>,
-) -> Vec<Channel> {
-    let channels: Vec<Channel> = paths
+    let channels: Vec<Channel> = k_shortest_paths_in(ws, net.graph(), a, b, k, &cfg)
         .into_iter()
         .map(|p| Channel::from_path(net, p))
         .collect();
@@ -143,6 +77,17 @@ mod tests {
     use crate::model::{NetworkSpec, NodeKind, PhysicsParams};
     use qnet_graph::Graph;
 
+    /// One k-best query on a fresh workspace.
+    fn k_best(
+        net: &QuantumNetwork,
+        cap: &CapacityMap,
+        a: NodeId,
+        b: NodeId,
+        k: usize,
+    ) -> Vec<Channel> {
+        k_best_channels_in(&mut DijkstraWorkspace::new(), net, cap, a, b, k)
+    }
+
     #[test]
     fn first_of_k_matches_algorithm_1() {
         let net = NetworkSpec::paper_default().build(77);
@@ -150,7 +95,7 @@ mod tests {
         let users = net.users();
         for &dst in &users[1..4] {
             let best = max_rate_channel(&net, &cap, users[0], dst);
-            let top = k_best_channels(&net, &cap, users[0], dst, 3);
+            let top = k_best(&net, &cap, users[0], dst, 3);
             match (best, top.first()) {
                 (Some(a), Some(b)) => {
                     assert!((a.rate.value() - b.rate.value()).abs() < 1e-12)
@@ -166,7 +111,7 @@ mod tests {
         let net = NetworkSpec::paper_default().build(78);
         let cap = CapacityMap::new(&net);
         let users = net.users();
-        let channels = k_best_channels(&net, &cap, users[0], users[1], 5);
+        let channels = k_best(&net, &cap, users[0], users[1], 5);
         for w in channels.windows(2) {
             assert!(w[0].rate >= w[1].rate);
         }
@@ -188,7 +133,7 @@ mod tests {
         g.add_edge(s2, b, 800.0);
         let net = QuantumNetwork::from_graph(g, PhysicsParams::paper_default());
         let cap = CapacityMap::new(&net);
-        let channels = k_best_channels(&net, &cap, a, b, 5);
+        let channels = k_best(&net, &cap, a, b, 5);
         assert_eq!(channels.len(), 2);
         assert_eq!(channels[0].interior_switches(), &[s1]);
         assert_eq!(channels[1].interior_switches(), &[s2]);
@@ -207,9 +152,9 @@ mod tests {
         g.add_edge(s2, b, 800.0);
         let net = QuantumNetwork::from_graph(g, PhysicsParams::paper_default());
         let mut cap = CapacityMap::new(&net);
-        let channels = k_best_channels(&net, &cap, a, b, 5);
+        let channels = k_best(&net, &cap, a, b, 5);
         cap.reserve(&channels[0]); // exhaust s1
-        let remaining = k_best_channels(&net, &cap, a, b, 5);
+        let remaining = k_best(&net, &cap, a, b, 5);
         assert_eq!(remaining.len(), 1);
         assert_eq!(remaining[0].interior_switches(), &[s2]);
     }

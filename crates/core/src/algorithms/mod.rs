@@ -21,9 +21,7 @@ mod prim_based;
 pub use beam::BeamSearch;
 pub use channel_finder::{max_rate_channel, CacheEfficiency, ChannelFinder, ChannelFinderCache};
 pub use conflict_free::{ConflictFree, RetentionPolicy};
-pub use k_channels::{
-    k_best_channels, k_best_channels_in, k_best_channels_pooled_in, YEN_POOL_MIN_NODES,
-};
+pub use k_channels::k_best_channels_in;
 pub use local_search::{refine, LocalSearchOptions, Refined};
 pub use optimal::{all_pairs_best_channels, OptimalSufficient};
 pub use prim_based::{PrimBased, SeedChoice};

@@ -40,7 +40,7 @@ pub fn scenario_spec(id: &str) -> Option<NetworkSpec> {
             Some(spec)
         }
         // The parallel-search bench tier: 2400 switches + 10 users —
-        // big enough that the CSR layout and the pooled multi-source
+        // big enough that per-search cost and the pooled multi-source
         // batches dominate the profile.
         "waxman-2400" => {
             let mut spec = NetworkSpec::paper_default();

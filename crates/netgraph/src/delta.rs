@@ -18,7 +18,7 @@
 //! 3. **Re-run** — unaffected nodes bordering the affected region are
 //!    re-seeded into the heap at their exact final distances, and the
 //!    *standard* relaxation loop (the same code shape as
-//!    [`dijkstra_adj_into`](crate::paths::dijkstra_adj_into)) runs to
+//!    [`dijkstra_into`](crate::paths::dijkstra_into)) runs to
 //!    completion over the affected region only.
 //!
 //! The result is not merely equal-cost: it is **bitwise identical** to
@@ -44,7 +44,6 @@
 //! sources a delta can possibly affect before any per-run work.
 
 use crate::connectivity::{bridges, connected_components};
-use crate::csr::Adjacency;
 use crate::graph::{EdgeId, EdgeRef, Graph, NodeId};
 use crate::paths::{DijkstraConfig, DijkstraView, DijkstraWorkspace, HeapEntry};
 
@@ -238,7 +237,7 @@ impl RepairScratch {
 
 /// Repairs the run held in `ws` against a worsening `delta`, in place.
 ///
-/// `ws` must hold a completed run over `adj` (same vertex count), and
+/// `ws` must hold a completed run over `g` (same vertex count), and
 /// `config` must be the **post-delta** configuration: `edge_cost`
 /// returns `INFINITY` for every blocked edge and `can_relay` is `false`
 /// for every blocked node (on top of whatever else it filters). The
@@ -251,22 +250,20 @@ impl RepairScratch {
 ///
 /// # Panics
 ///
-/// Panics when `ws` holds no run sized for `adj`, or if `edge_cost`
+/// Panics when `ws` holds no run sized for `g`, or if `edge_cost`
 /// produces a negative or NaN cost during the repair.
-pub fn dijkstra_repair_into<'w, A, N, E, FC, FR>(
+pub fn dijkstra_repair_into<'w, N, E, FC, FR>(
     ws: &'w mut DijkstraWorkspace,
     scratch: &mut RepairScratch,
-    adj: &A,
     g: &Graph<N, E>,
     config: &DijkstraConfig<FC, FR>,
     delta: &SsspDelta,
 ) -> (DijkstraView<'w>, RepairStats)
 where
-    A: Adjacency + ?Sized,
     FC: Fn(EdgeRef<'_, E>) -> f64,
     FR: Fn(NodeId) -> bool,
 {
-    let n = adj.order();
+    let n = g.node_count();
     assert_eq!(
         ws.active_len, n,
         "workspace holds no run over this adjacency"
@@ -333,7 +330,7 @@ where
         if scratch.state[i] != AFFECTED {
             continue;
         }
-        for &(p, _) in adj.neighbors_of(NodeId::new(i)) {
+        for &(p, _) in g.neighbor_slice(NodeId::new(i)) {
             let pi = p.index();
             if scratch.state[pi] == KEEP && ws.settled[pi] {
                 ws.settled[pi] = false;
@@ -346,7 +343,7 @@ where
     }
 
     // Phase 3 — the standard relaxation loop (mirrors
-    // `dijkstra_adj_into` exactly) over the seeded frontier.
+    // `dijkstra_into` exactly) over the seeded frontier.
     let mut costs_ok = true;
     while let Some(HeapEntry { cost, node }) = ws.heap.pop() {
         if ws.settled[node.index()] {
@@ -359,7 +356,7 @@ where
             continue;
         }
 
-        for &(next, eid) in adj.neighbors_of(node) {
+        for &(next, eid) in g.neighbor_slice(node) {
             if ws.settled_at(next.index()) {
                 continue;
             }
@@ -449,7 +446,7 @@ mod tests {
             can_relay: |v: NodeId| v != b,
         };
         let mut scratch = RepairScratch::new();
-        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
+        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
         assert_eq!(stats.affected, 1, "only c relayed through b");
         assert_eq!(view.to_run(), fresh(&g, a, Some(b), None));
         assert_eq!(view.distance(c), Some(5.0));
@@ -475,7 +472,7 @@ mod tests {
             }
         });
         let mut scratch = RepairScratch::new();
-        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
+        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
         assert!(!stats.is_clean());
         assert_eq!(view.to_run(), fresh(&g, a, None, Some(bc)));
         assert_eq!(view.distance(c), Some(5.0));
@@ -498,7 +495,7 @@ mod tests {
             }
         });
         let mut scratch = RepairScratch::new();
-        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
+        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
         assert!(stats.is_clean());
         assert_eq!(stats.resettled, 0);
         assert_eq!(view.to_run(), fresh(&g, a, None, Some(ac)));
@@ -528,7 +525,7 @@ mod tests {
             }
         });
         let mut scratch = RepairScratch::new();
-        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
+        let (view, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
         assert_eq!(stats.affected, 1);
         assert_eq!(view.distance(c), None);
         assert_eq!(view.to_run(), fresh(&g, a, None, Some(bc)));
@@ -547,7 +544,7 @@ mod tests {
             edge_cost: cost,
             can_relay: |v: NodeId| v != b,
         };
-        dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg1, &d1);
+        dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg1, &d1);
         // Second delta on top: the a-b edge goes away entirely.
         let mut d2 = SsspDelta::new();
         d2.block_edge(ab);
@@ -561,7 +558,7 @@ mod tests {
             },
             can_relay: |v: NodeId| v != b,
         };
-        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg2, &d2);
+        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg2, &d2);
         let mut fresh_ws = DijkstraWorkspace::new();
         let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg2).to_run();
         assert_eq!(view.to_run(), fresh);
@@ -597,7 +594,7 @@ mod tests {
             can_relay: |v: NodeId| v != b,
         };
         let mut scratch = RepairScratch::new();
-        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
+        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
         let mut fresh_ws = DijkstraWorkspace::new();
         let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg).to_run();
         assert_eq!(view.to_run(), fresh);
@@ -620,7 +617,7 @@ mod tests {
             can_relay: move |v: NodeId| v != b,
         };
         let mut scratch = RepairScratch::new();
-        let (view, _) = dijkstra_repair_into(&mut other, &mut scratch, &g, &g, &cfg, &delta);
+        let (view, _) = dijkstra_repair_into(&mut other, &mut scratch, &g, &cfg, &delta);
         assert_eq!(view.to_run(), fresh(&g, a, Some(b), None));
     }
 
@@ -671,7 +668,7 @@ mod tests {
             can_relay: move |v: NodeId| v != e,
         };
         let mut scratch = RepairScratch::new();
-        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
+        let (view, _) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
         let mut fresh_ws = DijkstraWorkspace::new();
         let fresh = dijkstra_into(&mut fresh_ws, &g, a, &cfg).to_run();
         let repaired = view.to_run();
@@ -693,7 +690,6 @@ mod tests {
         dijkstra_repair_into(
             &mut ws,
             &mut scratch,
-            &g,
             &g,
             &DijkstraConfig::all_nodes(cost),
             &delta,

@@ -317,7 +317,7 @@ impl<N, E> Graph<N, E> {
 
     /// The `(neighbor, edge)` pairs incident to `n` as one slice, in
     /// insertion order — the zero-cost form behind [`Graph::neighbors`]
-    /// and the source layout [`crate::CsrGraph::from_graph`] freezes.
+    /// and the adjacency every search in this crate iterates.
     ///
     /// # Panics
     ///

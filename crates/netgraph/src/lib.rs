@@ -10,9 +10,12 @@
 //! * [`UnionFind`]: disjoint-set forest with union by rank and path
 //!   compression, used by Algorithm 2/3 of the paper to maintain user
 //!   connectivity.
-//! * [`dijkstra`]: shortest path with pluggable edge costs and a *vertex
-//!   filter*, the primitive behind the paper's Algorithm 1 (maximum
-//!   entanglement-rate channel) after the `−ln` transform.
+//! * [`dijkstra_into`]: shortest path with pluggable edge costs and a
+//!   *vertex filter* on a reusable [`DijkstraWorkspace`], the primitive
+//!   behind the paper's Algorithm 1 (maximum entanglement-rate channel)
+//!   after the `−ln` transform. [`k_shortest_paths_in`] (Yen) and
+//!   [`dijkstra_repair_into`] (in-place delta repair) share its
+//!   configuration type and workspace.
 //! * [`NegLog`]: the product→sum transform that turns the paper's
 //!   non-additive rate objective (Eq. 1/2) into additive path weights.
 //! * [`mst`], [`dcmst`], [`steiner`]: classic-graph comparison algorithms
@@ -21,14 +24,15 @@
 //! * [`connectivity`]: components, bridges and articulation points; bridges
 //!   are the "critical edges" the paper's Fig. 7(b) edge-removal experiment
 //!   surfaces.
-//! * [`mask`]: failure masks ([`SearchMask`]) that exclude dead edges and
-//!   vertices from Dijkstra/Yen searches without re-densifying ids — the
+//! * [`mask`]: failure masks ([`SearchMask`]) whose
+//!   [`restrict`](SearchMask::restrict) excludes dead edges and vertices
+//!   from any Dijkstra/Yen configuration without re-densifying ids — the
 //!   substrate for the survivability layer's incremental repair.
 //!
 //! # Example
 //!
 //! ```
-//! use qnet_graph::{Graph, dijkstra, DijkstraConfig};
+//! use qnet_graph::{dijkstra_into, DijkstraConfig, DijkstraWorkspace, EdgeRef, Graph};
 //!
 //! let mut g: Graph<&str, f64> = Graph::new();
 //! let a = g.add_node("a");
@@ -38,7 +42,9 @@
 //! g.add_edge(b, c, 2.0);
 //! g.add_edge(a, c, 10.0);
 //!
-//! let run = dijkstra(&g, a, &DijkstraConfig::all_nodes(|e: qnet_graph::EdgeRef<'_, f64>| *e.payload));
+//! let mut ws = DijkstraWorkspace::new();
+//! let cfg = DijkstraConfig::all_nodes(|e: EdgeRef<'_, f64>| *e.payload);
+//! let run = dijkstra_into(&mut ws, &g, a, &cfg);
 //! assert_eq!(run.distance(c), Some(3.0));
 //! assert_eq!(run.path_to(c).unwrap().nodes, vec![a, b, c]);
 //! ```
@@ -48,7 +54,6 @@
 
 pub mod centrality;
 pub mod connectivity;
-pub mod csr;
 pub mod dcmst;
 pub mod delta;
 pub mod dot;
@@ -61,19 +66,12 @@ pub mod steiner;
 pub mod unionfind;
 pub mod weight;
 
-pub use csr::{Adjacency, CsrGraph};
 pub use delta::{dijkstra_repair_into, DeltaClassifier, RepairScratch, RepairStats, SsspDelta};
 pub use graph::{EdgeId, EdgeRef, Graph, NodeId};
-pub use ksp::{
-    k_shortest_paths, k_shortest_paths_adj_in, k_shortest_paths_in, k_shortest_paths_pooled_in,
-};
-pub use mask::{
-    dijkstra_masked_adj_into, dijkstra_masked_into, k_shortest_paths_masked_adj_in,
-    k_shortest_paths_masked_in, SearchMask,
-};
+pub use ksp::k_shortest_paths_in;
+pub use mask::SearchMask;
 pub use paths::{
-    dijkstra, dijkstra_adj_into, dijkstra_csr_into, dijkstra_into, DijkstraConfig, DijkstraRun,
-    DijkstraView, DijkstraWorkspace, Path,
+    dijkstra_into, DijkstraConfig, DijkstraRun, DijkstraView, DijkstraWorkspace, Path,
 };
 pub use unionfind::UnionFind;
 pub use weight::NegLog;

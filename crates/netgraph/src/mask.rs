@@ -1,13 +1,13 @@
 //! Failure masks over a graph's dense id space.
 //!
 //! A [`SearchMask`] marks edges and vertices as *dead* without mutating
-//! or rebuilding the graph. Masked searches ([`dijkstra_masked_into`],
-//! [`k_shortest_paths_masked_in`]) treat a dead edge — or any edge
-//! incident to a dead vertex — as having infinite cost, and refuse to
-//! relay through a dead vertex. Because the underlying graph is
+//! or rebuilding the graph. [`SearchMask::restrict`] turns any search
+//! configuration into a masked one — for Dijkstra and Yen alike — that
+//! treats a dead edge, or any edge incident to a dead vertex, as having
+//! infinite cost, and refuses to relay through a dead vertex. Because the underlying graph is
 //! untouched, node and edge ids remain stable across failures, which is
 //! what lets a survivability layer compare pre- and post-failure
-//! routing state in one id space. (Contrast [`Graph::filter_edges`],
+//! routing state in one id space. (Contrast [`crate::Graph::filter_edges`],
 //! which re-densifies edge ids.)
 //!
 //! Masks carry an order-independent content [`hash`](SearchMask::hash)
@@ -16,11 +16,8 @@
 //! set of elements hash identically regardless of kill order, and the
 //! empty mask always hashes to `0`.
 
-use crate::csr::Adjacency;
-use crate::graph::{EdgeId, EdgeRef, Graph, NodeId};
-use crate::paths::{
-    dijkstra_adj_into, dijkstra_into, DijkstraConfig, DijkstraView, DijkstraWorkspace, Path,
-};
+use crate::graph::{EdgeId, EdgeRef, NodeId};
+use crate::paths::{DijkstraConfig, Path};
 
 /// FNV-1a over a small tag + index pair; each killed element contributes
 /// one such digest, combined by XOR so the total is order-independent.
@@ -135,128 +132,40 @@ impl SearchMask {
         path.nodes.iter().any(|&v| self.node_dead(v))
             || path.edges.iter().any(|&e| self.edge_dead(e))
     }
-}
 
-/// Single-source shortest paths under a failure mask: dead edges (and
-/// edges incident to dead vertices) cost `+∞`, dead vertices never
-/// relay. Semantics are otherwise identical to
-/// [`dijkstra_into`](crate::dijkstra_into).
-pub fn dijkstra_masked_into<'w, N, E, FC, FR>(
-    ws: &'w mut DijkstraWorkspace,
-    g: &Graph<N, E>,
-    source: NodeId,
-    config: &DijkstraConfig<FC, FR>,
-    mask: &SearchMask,
-) -> DijkstraView<'w>
-where
-    FC: Fn(EdgeRef<'_, E>) -> f64,
-    FR: Fn(NodeId) -> bool,
-{
-    let masked = DijkstraConfig {
-        edge_cost: |e: EdgeRef<'_, E>| {
-            if mask.blocks(e.id, e.a, e.b) {
-                f64::INFINITY
-            } else {
-                (config.edge_cost)(e)
-            }
-        },
-        can_relay: |v: NodeId| !mask.node_dead(v) && (config.can_relay)(v),
-    };
-    dijkstra_into(ws, g, source, &masked)
-}
-
-/// [`dijkstra_masked_into`] over an explicit [`Adjacency`] (the graph
-/// itself or a [`crate::CsrGraph`] frozen from it) — bitwise-identical
-/// results on either layout.
-pub fn dijkstra_masked_adj_into<'w, A, N, E, FC, FR>(
-    ws: &'w mut DijkstraWorkspace,
-    adj: &A,
-    g: &Graph<N, E>,
-    source: NodeId,
-    config: &DijkstraConfig<FC, FR>,
-    mask: &SearchMask,
-) -> DijkstraView<'w>
-where
-    A: Adjacency + ?Sized,
-    FC: Fn(EdgeRef<'_, E>) -> f64,
-    FR: Fn(NodeId) -> bool,
-{
-    let masked = DijkstraConfig {
-        edge_cost: |e: EdgeRef<'_, E>| {
-            if mask.blocks(e.id, e.a, e.b) {
-                f64::INFINITY
-            } else {
-                (config.edge_cost)(e)
-            }
-        },
-        can_relay: |v: NodeId| !mask.node_dead(v) && (config.can_relay)(v),
-    };
-    dijkstra_adj_into(ws, adj, g, source, &masked)
-}
-
-/// Yen's k shortest paths under a failure mask; see
-/// [`dijkstra_masked_into`] for the mask semantics and
-/// [`crate::ksp::k_shortest_paths_in`] for everything else.
-pub fn k_shortest_paths_masked_in<N, E, FC, FR>(
-    ws: &mut DijkstraWorkspace,
-    g: &Graph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    k: usize,
-    config: &DijkstraConfig<FC, FR>,
-    mask: &SearchMask,
-) -> Vec<Path>
-where
-    FC: Fn(EdgeRef<'_, E>) -> f64,
-    FR: Fn(NodeId) -> bool,
-{
-    let masked = DijkstraConfig {
-        edge_cost: |e: EdgeRef<'_, E>| {
-            if mask.blocks(e.id, e.a, e.b) {
-                f64::INFINITY
-            } else {
-                (config.edge_cost)(e)
-            }
-        },
-        can_relay: |v: NodeId| !mask.node_dead(v) && (config.can_relay)(v),
-    };
-    crate::ksp::k_shortest_paths_in(ws, g, source, target, k, &masked)
-}
-
-/// [`k_shortest_paths_masked_in`] over an explicit [`Adjacency`] — see
-/// [`dijkstra_masked_adj_into`] for the layout contract.
-#[allow(clippy::too_many_arguments)]
-pub fn k_shortest_paths_masked_adj_in<A, N, E, FC, FR>(
-    ws: &mut DijkstraWorkspace,
-    adj: &A,
-    g: &Graph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    k: usize,
-    config: &DijkstraConfig<FC, FR>,
-    mask: &SearchMask,
-) -> Vec<Path>
-where
-    A: Adjacency + ?Sized,
-    FC: Fn(EdgeRef<'_, E>) -> f64,
-    FR: Fn(NodeId) -> bool,
-{
-    let masked = DijkstraConfig {
-        edge_cost: |e: EdgeRef<'_, E>| {
-            if mask.blocks(e.id, e.a, e.b) {
-                f64::INFINITY
-            } else {
-                (config.edge_cost)(e)
-            }
-        },
-        can_relay: |v: NodeId| !mask.node_dead(v) && (config.can_relay)(v),
-    };
-    crate::ksp::k_shortest_paths_adj_in(ws, adj, g, source, target, k, &masked)
+    /// `config` restricted to the elements this mask leaves alive: dead
+    /// edges (and edges incident to dead vertices) cost `+∞`, and dead
+    /// vertices never relay; everything else defers to `config`. The
+    /// result feeds [`crate::dijkstra_into`] and
+    /// [`crate::ksp::k_shortest_paths_in`] unchanged, so a masked search
+    /// is the plain search under a restricted configuration.
+    pub fn restrict<'a, E, FC, FR>(
+        &'a self,
+        config: &'a DijkstraConfig<FC, FR>,
+    ) -> DijkstraConfig<impl Fn(EdgeRef<'_, E>) -> f64 + 'a, impl Fn(NodeId) -> bool + 'a>
+    where
+        FC: Fn(EdgeRef<'_, E>) -> f64,
+        FR: Fn(NodeId) -> bool,
+    {
+        DijkstraConfig {
+            edge_cost: move |e: EdgeRef<'_, E>| {
+                if self.blocks(e.id, e.a, e.b) {
+                    f64::INFINITY
+                } else {
+                    (config.edge_cost)(e)
+                }
+            },
+            can_relay: move |v: NodeId| !self.node_dead(v) && (config.can_relay)(v),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
+    use crate::ksp::k_shortest_paths_in;
+    use crate::paths::{dijkstra_into, DijkstraWorkspace};
 
     fn cost(e: EdgeRef<'_, f64>) -> f64 {
         *e.payload
@@ -282,7 +191,7 @@ mod tests {
         let mask = SearchMask::new();
         assert_eq!(mask.hash(), 0);
         assert!(mask.is_empty());
-        let masked = dijkstra_masked_into(&mut ws, &g, s, &cfg, &mask)
+        let masked = dijkstra_into(&mut ws, &g, s, &mask.restrict(&cfg))
             .path_to(t)
             .expect("connected");
         let plain = dijkstra_into(&mut ws, &g, s, &cfg)
@@ -300,7 +209,7 @@ mod tests {
         assert!(!mask.kill_edge(e01), "second kill is a no-op");
         let mut ws = DijkstraWorkspace::new();
         let cfg = DijkstraConfig::all_nodes(cost);
-        let p = dijkstra_masked_into(&mut ws, &g, s, &cfg, &mask)
+        let p = dijkstra_into(&mut ws, &g, s, &mask.restrict(&cfg))
             .path_to(t)
             .expect("detour exists");
         assert!(!p.edges.contains(&e01));
@@ -314,7 +223,7 @@ mod tests {
         mask.kill_node(n1);
         let mut ws = DijkstraWorkspace::new();
         let cfg = DijkstraConfig::all_nodes(cost);
-        let view = dijkstra_masked_into(&mut ws, &g, s, &cfg, &mask);
+        let view = dijkstra_into(&mut ws, &g, s, &mask.restrict(&cfg));
         // Dead vertices are not just relay-forbidden: their incident
         // edges are blocked too, so n1 has no path at all.
         assert!(view.path_to(n1).is_none());
@@ -355,7 +264,7 @@ mod tests {
         mask.kill_node(n1);
         let mut ws = DijkstraWorkspace::new();
         let cfg = DijkstraConfig::all_nodes(cost);
-        let paths = k_shortest_paths_masked_in(&mut ws, &g, s, t, 10, &cfg, &mask);
+        let paths = k_shortest_paths_in(&mut ws, &g, s, t, 10, &mask.restrict(&cfg));
         assert_eq!(paths.len(), 2); // 0-2-3 and 0-3
         for p in &paths {
             assert!(!p.nodes.contains(&n1));

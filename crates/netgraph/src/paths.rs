@@ -1,6 +1,6 @@
 //! Single-source shortest paths with pluggable costs and relay filters.
 //!
-//! [`dijkstra`] is the engine behind the paper's **Algorithm 1** (maximum
+//! [`dijkstra_into`] is the engine behind the paper's **Algorithm 1** (maximum
 //! entanglement-rate channel): after the [`crate::NegLog`] transform the
 //! max-rate channel is the min-cost path, with the twist that only quantum
 //! switches *with at least two free qubits* may appear in the interior of a
@@ -12,7 +12,6 @@
 use core::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::csr::{Adjacency, CsrGraph};
 use crate::graph::{EdgeId, EdgeRef, Graph, NodeId};
 
 /// A simple path through the graph: node sequence, the edges between them,
@@ -93,7 +92,8 @@ impl<FC> DijkstraConfig<FC, fn(NodeId) -> bool> {
     }
 }
 
-/// The result of a [`dijkstra`] run from one source.
+/// The owned result of a [`dijkstra_into`] run from one source
+/// (materialized by [`DijkstraView::to_run`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DijkstraRun {
     source: NodeId,
@@ -116,7 +116,7 @@ impl Default for DijkstraRun {
 
 /// Reusable scratch state for repeated Dijkstra runs.
 ///
-/// Every [`dijkstra`] call needs `dist`/`prev`/`settled` arrays and a
+/// Every Dijkstra run needs `dist`/`prev`/`settled` arrays and a
 /// binary heap; allocating them fresh per call dominates the cost of
 /// searches on small-to-medium graphs, and the MUERP solvers issue
 /// hundreds of such searches per solve. A workspace owns those buffers
@@ -460,59 +460,9 @@ where
     FC: Fn(EdgeRef<'_, E>) -> f64,
     FR: Fn(NodeId) -> bool,
 {
-    dijkstra_adj_into(ws, g, g, source, config)
-}
-
-/// [`dijkstra_into`] over a frozen [`CsrGraph`] adjacency: identical
-/// semantics and bitwise-identical results (CSR preserves neighbor
-/// order), with edge payloads still read from the originating graph.
-///
-/// # Panics
-///
-/// Panics on negative/NaN edge costs (see [`dijkstra_into`]), and
-/// debug-asserts that `csr` covers `g`'s vertex space.
-pub fn dijkstra_csr_into<'w, N, E, FC, FR>(
-    ws: &'w mut DijkstraWorkspace,
-    csr: &CsrGraph,
-    g: &Graph<N, E>,
-    source: NodeId,
-    config: &DijkstraConfig<FC, FR>,
-) -> DijkstraView<'w>
-where
-    FC: Fn(EdgeRef<'_, E>) -> f64,
-    FR: Fn(NodeId) -> bool,
-{
-    debug_assert_eq!(
-        csr.node_count(),
-        g.node_count(),
-        "CSR adjacency must be built from this graph"
-    );
-    dijkstra_adj_into(ws, csr, g, source, config)
-}
-
-/// The generic search engine behind [`dijkstra_into`] and
-/// [`dijkstra_csr_into`]: adjacency comes from `adj` (either the graph
-/// itself or a [`CsrGraph`] frozen from it), edge payloads from `g`.
-///
-/// # Panics
-///
-/// Panics if `edge_cost` returns a negative or NaN value (see
-/// [`dijkstra_into`] for when the check fires).
-pub fn dijkstra_adj_into<'w, A, N, E, FC, FR>(
-    ws: &'w mut DijkstraWorkspace,
-    adj: &A,
-    g: &Graph<N, E>,
-    source: NodeId,
-    config: &DijkstraConfig<FC, FR>,
-) -> DijkstraView<'w>
-where
-    A: Adjacency + ?Sized,
-    FC: Fn(EdgeRef<'_, E>) -> f64,
-    FR: Fn(NodeId) -> bool,
-{
     qnet_obs::counter!("graph.dijkstra.calls");
     let _span = qnet_obs::span!("graph.dijkstra.run");
-    ws.begin(adj.order());
+    ws.begin(g.node_count());
     ws.source = source;
     // Tally locally; flush once at the end so the hot loop stays free of
     // shared-state traffic.
@@ -546,7 +496,7 @@ where
             continue;
         }
 
-        for &(next, eid) in adj.neighbors_of(node) {
+        for &(next, eid) in g.neighbor_slice(node) {
             if ws.settled_at(next.index()) {
                 continue;
             }
@@ -581,30 +531,6 @@ where
     qnet_obs::counter!("graph.dijkstra.settled"; settled_n);
     qnet_obs::counter!("graph.dijkstra.relaxations"; relaxed_n);
     DijkstraView { ws }
-}
-
-/// Dijkstra's algorithm from `source` under `config`.
-///
-/// Compatibility wrapper over [`dijkstra_into`] that allocates a private
-/// [`DijkstraWorkspace`] per call and returns an owned [`DijkstraRun`].
-/// Hot paths issuing many searches should hold a workspace and call
-/// [`dijkstra_into`] instead.
-///
-/// # Panics
-///
-/// Panics if `edge_cost` returns a negative or NaN value (see
-/// [`dijkstra_into`] for when the check fires).
-pub fn dijkstra<N, E, FC, FR>(
-    g: &Graph<N, E>,
-    source: NodeId,
-    config: &DijkstraConfig<FC, FR>,
-) -> DijkstraRun
-where
-    FC: Fn(EdgeRef<'_, E>) -> f64,
-    FR: Fn(NodeId) -> bool,
-{
-    let mut ws = DijkstraWorkspace::new();
-    dijkstra_into(&mut ws, g, source, config).to_run()
 }
 
 /// Breadth-first shortest path by hop count, ignoring weights.
@@ -667,10 +593,23 @@ mod tests {
         *e.payload
     }
 
+    /// One search on a fresh workspace, materialized.
+    fn fresh_run<FC, FR>(
+        g: &Graph<(), f64>,
+        source: NodeId,
+        cfg: &DijkstraConfig<FC, FR>,
+    ) -> DijkstraRun
+    where
+        FC: Fn(EdgeRef<'_, f64>) -> f64,
+        FR: Fn(NodeId) -> bool,
+    {
+        dijkstra_into(&mut DijkstraWorkspace::new(), g, source, cfg).to_run()
+    }
+
     #[test]
     fn shortest_path_basic() {
         let (g, [a, b, c]) = diamond();
-        let run = dijkstra(&g, a, &DijkstraConfig::all_nodes(cost));
+        let run = fresh_run(&g, a, &DijkstraConfig::all_nodes(cost));
         assert_eq!(run.distance(c), Some(2.0));
         let p = run.path_to(c).unwrap();
         assert_eq!(p.nodes, vec![a, b, c]);
@@ -687,7 +626,7 @@ mod tests {
             edge_cost: cost,
             can_relay: |n: NodeId| n != b,
         };
-        let run = dijkstra(&g, a, &cfg);
+        let run = fresh_run(&g, a, &cfg);
         // b is still *reachable* (it can be a destination)…
         assert_eq!(run.distance(b), Some(1.0));
         // …but paths may not pass through it.
@@ -705,7 +644,7 @@ mod tests {
                 *e.payload
             }
         });
-        let run = dijkstra(&g, a, &cfg);
+        let run = fresh_run(&g, a, &cfg);
         assert_eq!(run.distance(c), Some(2.0));
     }
 
@@ -714,7 +653,7 @@ mod tests {
         let mut g: Graph<(), f64> = Graph::new();
         let a = g.add_node(());
         let b = g.add_node(());
-        let run = dijkstra(&g, a, &DijkstraConfig::all_nodes(cost));
+        let run = fresh_run(&g, a, &DijkstraConfig::all_nodes(cost));
         assert_eq!(run.distance(b), None);
         assert!(run.path_to(b).is_none());
     }
@@ -722,7 +661,7 @@ mod tests {
     #[test]
     fn source_distance_is_zero() {
         let (g, [a, ..]) = diamond();
-        let run = dijkstra(&g, a, &DijkstraConfig::all_nodes(cost));
+        let run = fresh_run(&g, a, &DijkstraConfig::all_nodes(cost));
         assert_eq!(run.distance(a), Some(0.0));
         let p = run.path_to(a).unwrap();
         assert!(p.is_empty());
@@ -732,7 +671,7 @@ mod tests {
     #[test]
     fn reachable_lists_everything_connected() {
         let (g, [a, ..]) = diamond();
-        let run = dijkstra(&g, a, &DijkstraConfig::all_nodes(cost));
+        let run = fresh_run(&g, a, &DijkstraConfig::all_nodes(cost));
         assert_eq!(run.reachable().count(), 3);
     }
 
@@ -743,7 +682,7 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, b, 3.0);
         let cheap = g.add_edge(a, b, 1.0);
-        let run = dijkstra(&g, a, &DijkstraConfig::all_nodes(cost));
+        let run = fresh_run(&g, a, &DijkstraConfig::all_nodes(cost));
         let p = run.path_to(b).unwrap();
         assert_eq!(p.cost, 1.0);
         assert_eq!(p.edges, vec![cheap]);
@@ -754,7 +693,7 @@ mod tests {
     fn negative_cost_panics() {
         let (g, [a, ..]) = diamond();
         let cfg = DijkstraConfig::all_nodes(|_e: EdgeRef<'_, f64>| -1.0);
-        dijkstra(&g, a, &cfg);
+        fresh_run(&g, a, &cfg);
     }
 
     #[test]

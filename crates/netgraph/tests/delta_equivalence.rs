@@ -2,8 +2,7 @@
 //! topologies and arbitrary interleaved delta sequences, an in-place
 //! [`dijkstra_repair_into`] must leave the workspace **bitwise
 //! identical** — distances, predecessors, reachability — to a fresh
-//! [`dijkstra_into`] under the post-delta configuration, on both the
-//! `Graph` adjacency and the frozen [`CsrGraph`] arena, with and
+//! [`dijkstra_into`] under the post-delta configuration, with and
 //! without a [`SearchMask`] overlay.
 //!
 //! Worsening steps (block a relay, block an edge) go through the
@@ -13,9 +12,8 @@
 
 use proptest::prelude::*;
 use qnet_graph::{
-    dijkstra_csr_into, dijkstra_into, dijkstra_masked_into, dijkstra_repair_into, CsrGraph,
-    DeltaClassifier, DijkstraConfig, DijkstraWorkspace, EdgeId, EdgeRef, Graph, NodeId,
-    RepairScratch, SearchMask, SsspDelta,
+    dijkstra_into, dijkstra_repair_into, DeltaClassifier, DijkstraConfig, DijkstraWorkspace,
+    EdgeId, EdgeRef, Graph, NodeId, RepairScratch, SearchMask, SsspDelta,
 };
 
 /// A random undirected weighted graph: `n` nodes, edge list with weights.
@@ -120,7 +118,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The headline property: repaired ≡ fresh after every step of an
-    /// arbitrary interleaved delta sequence, on Graph and CSR views.
+    /// arbitrary interleaved delta sequence.
     #[test]
     fn repaired_workspace_is_bitwise_fresh(
         g in arb_graph(14, 44),
@@ -128,15 +126,12 @@ proptest! {
         ops in arb_ops(10),
     ) {
         let source = NodeId::new(src % g.node_count());
-        let csr = CsrGraph::from_graph(&g);
         let mut overlay = Overlay::fresh(&g);
         let mut ws = DijkstraWorkspace::new();
-        let mut csr_ws = DijkstraWorkspace::new();
         let mut scratch = RepairScratch::new();
         {
             let cfg = overlay.config();
             dijkstra_into(&mut ws, &g, source, &cfg);
-            dijkstra_csr_into(&mut csr_ws, &csr, &g, source, &cfg);
         }
         for &(kind, target) in &ops {
             let worsening = overlay.apply(kind, target);
@@ -148,12 +143,8 @@ proptest! {
             match worsening {
                 Some(delta) => {
                     let (view, stats) =
-                        dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
-                    prop_assert_eq!(view.to_run(), fresh.clone(), "graph repair diverged");
-                    let (csr_view, csr_stats) =
-                        dijkstra_repair_into(&mut csr_ws, &mut scratch, &csr, &g, &cfg, &delta);
-                    prop_assert_eq!(csr_view.to_run(), fresh.clone(), "csr repair diverged");
-                    prop_assert_eq!(stats, csr_stats, "adjacency encodings disagree on work");
+                        dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
+                    prop_assert_eq!(view.to_run(), fresh, "repair diverged");
                     if delta.is_empty() {
                         prop_assert!(stats.is_clean(), "empty delta must be clean");
                     }
@@ -162,7 +153,6 @@ proptest! {
                     // Improving delta: the cache layer recomputes; do the
                     // same so later repairs start from production state.
                     dijkstra_into(&mut ws, &g, source, &cfg);
-                    dijkstra_csr_into(&mut csr_ws, &csr, &g, source, &cfg);
                 }
             }
         }
@@ -180,7 +170,8 @@ proptest! {
 
     /// Same battery under a masked overlay: the mask kills a static set
     /// of edges/nodes, deltas churn on top, and the repair (driven with
-    /// the composed configuration) must match `dijkstra_masked_into`.
+    /// the composed configuration) must match a fresh search under the
+    /// overlay configuration restricted by the mask.
     #[test]
     fn masked_repair_matches_masked_fresh(
         g in arb_graph(12, 40),
@@ -204,7 +195,7 @@ proptest! {
         let mut ws = DijkstraWorkspace::new();
         let mut scratch = RepairScratch::new();
         // The composed configuration: overlay deltas on top of the mask
-        // (exactly what the masked search wrappers build internally).
+        // (what `SearchMask::restrict` builds, spelled out independently).
         macro_rules! composed {
             () => {{
                 let mask = &mask;
@@ -229,15 +220,17 @@ proptest! {
             let worsening = overlay.apply(kind, target);
             let cfg = composed!();
             let fresh = {
-                // The oracle goes through the public masked entry point,
-                // composing only the overlay config with the mask.
+                // The oracle goes through the public mask composition,
+                // restricting only the overlay config.
                 let mut fresh_ws = DijkstraWorkspace::new();
-                dijkstra_masked_into(&mut fresh_ws, &g, source, &overlay.config(), &mask).to_run()
+                let overlay_cfg = overlay.config();
+                let restricted = mask.restrict(&overlay_cfg);
+                dijkstra_into(&mut fresh_ws, &g, source, &restricted).to_run()
             };
             match worsening {
                 Some(delta) => {
                     let (view, _) =
-                        dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
+                        dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
                     prop_assert_eq!(view.to_run(), fresh, "masked repair diverged");
                 }
                 None => {
@@ -273,10 +266,10 @@ proptest! {
         };
         let mut scratch = RepairScratch::new();
         let (live_view, live_stats) =
-            dijkstra_repair_into(&mut live, &mut scratch, &g, &g, &cfg, &delta);
+            dijkstra_repair_into(&mut live, &mut scratch, &g, &cfg, &delta);
         let live_run = live_view.to_run();
         let (loaded_view, loaded_stats) =
-            dijkstra_repair_into(&mut loaded, &mut scratch, &g, &g, &cfg, &delta);
+            dijkstra_repair_into(&mut loaded, &mut scratch, &g, &cfg, &delta);
         prop_assert_eq!(loaded_view.to_run(), live_run, "storage round trip diverged");
         prop_assert_eq!(live_stats, loaded_stats);
     }
@@ -306,7 +299,7 @@ proptest! {
             can_relay: move |v: NodeId| v != blocked,
         };
         let mut scratch = RepairScratch::new();
-        let (_, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &g, &cfg, &delta);
+        let (_, stats) = dijkstra_repair_into(&mut ws, &mut scratch, &g, &cfg, &delta);
         prop_assert!(stats.is_clean(), "foreign-component delta did work: {stats:?}");
     }
 }

@@ -10,9 +10,8 @@ use qnet_graph::dcmst::{degree_constrained_kruskal, exact_dcmst};
 use qnet_graph::mst::{kruskal, prim};
 use qnet_graph::steiner::steiner_approximation;
 use qnet_graph::{
-    dijkstra, dijkstra_csr_into, dijkstra_into, dijkstra_masked_adj_into, dijkstra_masked_into,
-    CsrGraph, DijkstraConfig, DijkstraWorkspace, EdgeId, EdgeRef, Graph, NegLog, NodeId,
-    SearchMask, UnionFind,
+    dijkstra_into, k_shortest_paths_in, DijkstraConfig, DijkstraRun, DijkstraWorkspace, EdgeId,
+    EdgeRef, Graph, NegLog, NodeId, Path, SearchMask, UnionFind,
 };
 
 /// A random undirected weighted graph: `n` nodes, edge list with weights.
@@ -36,6 +35,34 @@ fn arb_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = Graph<
 
 fn w(e: EdgeRef<'_, f64>) -> f64 {
     *e.payload
+}
+
+/// One Dijkstra search on a fresh workspace, materialized.
+fn fresh_run<FC, FR>(
+    g: &Graph<(), f64>,
+    source: NodeId,
+    cfg: &DijkstraConfig<FC, FR>,
+) -> DijkstraRun
+where
+    FC: Fn(EdgeRef<'_, f64>) -> f64,
+    FR: Fn(NodeId) -> bool,
+{
+    dijkstra_into(&mut DijkstraWorkspace::new(), g, source, cfg).to_run()
+}
+
+/// One Yen query on a fresh workspace.
+fn fresh_yen<FC, FR>(
+    g: &Graph<(), f64>,
+    s: NodeId,
+    t: NodeId,
+    k: usize,
+    cfg: &DijkstraConfig<FC, FR>,
+) -> Vec<Path>
+where
+    FC: Fn(EdgeRef<'_, f64>) -> f64,
+    FR: Fn(NodeId) -> bool,
+{
+    k_shortest_paths_in(&mut DijkstraWorkspace::new(), g, s, t, k, cfg)
 }
 
 /// Bellman-Ford oracle for Dijkstra (no relay filter).
@@ -70,7 +97,7 @@ proptest! {
     #[test]
     fn dijkstra_matches_bellman_ford(g in arb_graph(12, 40)) {
         let source = NodeId::new(0);
-        let run = dijkstra(&g, source, &DijkstraConfig::all_nodes(w));
+        let run = fresh_run(&g, source, &DijkstraConfig::all_nodes(w));
         let oracle = bellman_ford(&g, source);
         for v in g.node_ids() {
             match run.distance(v) {
@@ -83,7 +110,7 @@ proptest! {
     #[test]
     fn dijkstra_paths_are_consistent(g in arb_graph(12, 40)) {
         let source = NodeId::new(0);
-        let run = dijkstra(&g, source, &DijkstraConfig::all_nodes(w));
+        let run = fresh_run(&g, source, &DijkstraConfig::all_nodes(w));
         for v in g.node_ids() {
             if let Some(p) = run.path_to(v) {
                 // Path endpoints are right.
@@ -112,7 +139,7 @@ proptest! {
         let source = NodeId::new(0);
         let forbidden = NodeId::new(forbid % g.node_count());
         let cfg = DijkstraConfig { edge_cost: w, can_relay: |n: NodeId| n != forbidden };
-        let run = dijkstra(&g, source, &cfg);
+        let run = fresh_run(&g, source, &cfg);
         for v in g.node_ids() {
             if let Some(p) = run.path_to(v) {
                 prop_assert!(!p.interior().contains(&forbidden));
@@ -187,7 +214,6 @@ proptest! {
 
     #[test]
     fn yen_matches_bruteforce_on_random_graphs(g in arb_graph(7, 14)) {
-        use qnet_graph::ksp::k_shortest_paths;
         let (s, t) = (NodeId::new(0), NodeId::new(g.node_count() - 1));
         // Brute-force all simple paths.
         fn all_paths(
@@ -214,7 +240,7 @@ proptest! {
         all_paths(&g, s, t, &mut vec![s], 0.0, &mut brute);
         brute.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
-        let yen = k_shortest_paths(&g, s, t, brute.len() + 3, &DijkstraConfig::all_nodes(w));
+        let yen = fresh_yen(&g, s, t, brute.len() + 3, &DijkstraConfig::all_nodes(w));
         prop_assert_eq!(yen.len(), brute.len(), "yen must enumerate all simple paths");
         for (p, c) in yen.iter().zip(&brute) {
             prop_assert!((p.cost - c).abs() < 1e-9, "cost order mismatch");
@@ -231,14 +257,14 @@ proptest! {
         // One workspace carried across many runs, alternating between two
         // graphs of different sizes and between filtered/unfiltered
         // configurations — maximally dirty state. Every run must agree
-        // bitwise with a fresh dijkstra() on distances and on path shape.
+        // bitwise with a fresh-workspace run on distances and on path shape.
         let mut ws = DijkstraWorkspace::new();
         for (round, &s) in sources.iter().enumerate() {
             for g in [&g1, &g2] {
                 let source = NodeId::new(s % g.node_count());
                 let forbidden = NodeId::new((forbid + round) % g.node_count());
                 let cfg = DijkstraConfig { edge_cost: w, can_relay: |n: NodeId| n != forbidden };
-                let fresh = dijkstra(g, source, &cfg);
+                let fresh = fresh_run(g, source, &cfg);
                 let view = dijkstra_into(&mut ws, g, source, &cfg);
                 for v in g.node_ids() {
                     prop_assert_eq!(view.distance(v), fresh.distance(v));
@@ -265,14 +291,13 @@ proptest! {
         warmup in arb_graph(12, 30),
         k in 1usize..6,
     ) {
-        use qnet_graph::ksp::{k_shortest_paths, k_shortest_paths_in};
         let (s, t) = (NodeId::new(0), NodeId::new(g.node_count() - 1));
         let cfg = DijkstraConfig::all_nodes(w);
         // Dirty the workspace on an unrelated, larger graph first.
         let mut ws = DijkstraWorkspace::new();
         let _ = dijkstra_into(&mut ws, &warmup, NodeId::new(0), &cfg);
         let reused = k_shortest_paths_in(&mut ws, &g, s, t, k, &cfg);
-        let fresh = k_shortest_paths(&g, s, t, k, &cfg);
+        let fresh = fresh_yen(&g, s, t, k, &cfg);
         prop_assert_eq!(reused.len(), fresh.len());
         for (a, b) in reused.iter().zip(&fresh) {
             prop_assert_eq!(&a.nodes, &b.nodes);
@@ -282,89 +307,52 @@ proptest! {
     }
 
     #[test]
-    fn csr_dijkstra_matches_graph_dijkstra(
-        g in arb_graph(12, 40),
-        src in 0usize..12,
-        forbid in 0usize..12,
+    fn restricted_searches_match_searches_on_the_filtered_graph(
+        g in arb_graph(10, 30),
+        src in 0usize..10,
+        dst in 0usize..10,
+        dead_edges in proptest::collection::vec(0usize..30, 0..6),
+        dead_node in 0usize..10,
+        forbid in 0usize..10,
+        k in 1usize..5,
     ) {
-        // The CSR arena must be a faithful re-encoding of the adjacency
-        // lists: same distances, same predecessors (hence bitwise-equal
-        // paths), filtered or not.
-        let csr = CsrGraph::from_graph(&g);
-        let source = NodeId::new(src % g.node_count());
-        let forbidden = NodeId::new(forbid % g.node_count());
-        let cfg = DijkstraConfig { edge_cost: w, can_relay: |n: NodeId| n != forbidden };
-        let mut ws1 = DijkstraWorkspace::new();
-        let mut ws2 = DijkstraWorkspace::new();
-        let lists = dijkstra_into(&mut ws1, &g, source, &cfg).to_run();
-        let arena = dijkstra_csr_into(&mut ws2, &csr, &g, source, &cfg).to_run();
-        prop_assert_eq!(lists, arena);
-    }
-
-    #[test]
-    fn csr_masked_dijkstra_matches_graph_masked_dijkstra(
-        g in arb_graph(12, 40),
-        src in 0usize..12,
-        dead_edges in proptest::collection::vec(0usize..40, 0..6),
-        dead_node in 0usize..12,
-    ) {
-        let csr = CsrGraph::from_graph(&g);
-        let source = NodeId::new(src % g.node_count());
+        // A mask-restricted search on the intact graph must behave like
+        // the plain search on a copy with the dead edges, and every edge
+        // touching the dead vertex, physically removed. The filtered copy
+        // renumbers edge ids, so paths compare by nodes and cost.
+        let n = g.node_count();
+        let (source, target) = (NodeId::new(src % n), NodeId::new(dst % n));
+        let dead_edges: Vec<usize> = dead_edges.into_iter().filter(|&e| e < g.edge_count()).collect();
+        let killed = Some(NodeId::new(dead_node % n)).filter(|&v| v != source);
         let mut mask = SearchMask::new();
-        for e in dead_edges {
-            if e < g.edge_count() {
-                mask.kill_edge(EdgeId::new(e));
-            }
+        for &e in &dead_edges {
+            mask.kill_edge(EdgeId::new(e));
         }
-        let killed = NodeId::new(dead_node % g.node_count());
-        if killed != source {
-            mask.kill_node(killed);
+        if let Some(v) = killed {
+            mask.kill_node(v);
         }
-        let cfg = DijkstraConfig::all_nodes(w);
-        let mut ws1 = DijkstraWorkspace::new();
-        let mut ws2 = DijkstraWorkspace::new();
-        let lists = dijkstra_masked_into(&mut ws1, &g, source, &cfg, &mask).to_run();
-        let arena = dijkstra_masked_adj_into(&mut ws2, &csr, &g, source, &cfg, &mask).to_run();
-        prop_assert_eq!(lists, arena);
-    }
+        let filtered = g.filter_edges(|e| {
+            !dead_edges.contains(&e.id.index()) && killed != Some(e.a) && killed != Some(e.b)
+        });
+        let forbidden = NodeId::new(forbid % n);
+        let cfg = DijkstraConfig { edge_cost: w, can_relay: |v: NodeId| v != forbidden };
+        let restricted = mask.restrict(&cfg);
 
-    #[test]
-    fn csr_yen_matches_graph_yen(
-        g in arb_graph(8, 20),
-        k in 1usize..6,
-        forbid in 0usize..8,
-    ) {
-        use qnet_graph::ksp::{k_shortest_paths_adj_in, k_shortest_paths_in};
-        let csr = CsrGraph::from_graph(&g);
-        let (s, t) = (NodeId::new(0), NodeId::new(g.node_count() - 1));
-        let forbidden = NodeId::new(forbid % g.node_count());
-        let cfg = DijkstraConfig { edge_cost: w, can_relay: |n: NodeId| n != forbidden };
-        let mut ws1 = DijkstraWorkspace::new();
-        let mut ws2 = DijkstraWorkspace::new();
-        let lists = k_shortest_paths_in(&mut ws1, &g, s, t, k, &cfg);
-        let arena = k_shortest_paths_adj_in(&mut ws2, &csr, &g, s, t, k, &cfg);
-        prop_assert_eq!(lists, arena);
-    }
+        let masked = fresh_run(&g, source, &restricted);
+        let plain = fresh_run(&filtered, source, &cfg);
+        for v in g.node_ids() {
+            prop_assert_eq!(masked.distance(v), plain.distance(v), "distance to {}", v);
+            let (a, b) = (masked.path_to(v), plain.path_to(v));
+            prop_assert_eq!(a.as_ref().map(|p| &p.nodes), b.as_ref().map(|p| &p.nodes));
+        }
 
-    #[test]
-    fn pooled_yen_is_thread_count_invariant(
-        g in arb_graph(8, 20),
-        k in 1usize..6,
-    ) {
-        use qnet_graph::ksp::{k_shortest_paths_in, k_shortest_paths_pooled_in};
-        use qnet_pool::Pool;
-        // The pooled Yen merge replays the sequential candidate order, so
-        // the ranked list must be bitwise identical at every pool width.
-        let csr = CsrGraph::from_graph(&g);
-        let (s, t) = (NodeId::new(0), NodeId::new(g.node_count() - 1));
-        let cfg = DijkstraConfig::all_nodes(w);
-        let mut ws = DijkstraWorkspace::new();
-        let sequential = k_shortest_paths_in(&mut ws, &g, s, t, k, &cfg);
-        for threads in [1usize, 3] {
-            let pool = Pool::with_threads(threads);
-            let pooled =
-                k_shortest_paths_pooled_in(&pool, &mut ws, &csr, &g, s, t, k, &cfg);
-            prop_assert_eq!(&pooled, &sequential, "width {} diverged", threads);
+        let masked = fresh_yen(&g, source, target, k, &restricted);
+        let plain = fresh_yen(&filtered, source, target, k, &cfg);
+        prop_assert_eq!(masked.len(), plain.len());
+        for (a, b) in masked.iter().zip(&plain) {
+            prop_assert_eq!(&a.nodes, &b.nodes);
+            prop_assert_eq!(a.cost, b.cost);
+            prop_assert!(!mask.breaks_path(a), "masked Yen used a dead element: {:?}", a);
         }
     }
 
