@@ -29,29 +29,15 @@
 //! runs.
 
 use muerp_bench::{measure_ns_median, quick_mode, scaled_network, write_bench_report};
-use muerp_core::algorithms::ChannelFinderCache;
+use muerp_core::algorithms::{Algorithm1, ChannelFinderCache};
 use muerp_core::prelude::*;
-use qnet_graph::paths::{dijkstra_into, DijkstraConfig, DijkstraRun, DijkstraWorkspace};
-use qnet_graph::{dijkstra_repair_into, EdgeRef, NodeId, RepairScratch, SsspDelta};
+use qnet_graph::paths::{dijkstra_into, DijkstraRun, DijkstraWorkspace};
+use qnet_graph::{dijkstra_repair_into, NodeId, RepairScratch, SsspDelta};
 use qnet_pool::Pool;
 use serde_json::Value;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::hint::black_box;
-
-/// The MUERP edge cost and relay filter at the graph layer (mirrors
-/// `ChannelFinder::from_source`, like `search_core`'s rows do), so the
-/// repair and wholesale rows measure the same search the finder runs.
-fn muerp_config<'a>(
-    net: &'a QuantumNetwork,
-    capacity: &'a CapacityMap,
-) -> DijkstraConfig<impl Fn(EdgeRef<'_, f64>) -> f64 + 'a, impl Fn(NodeId) -> bool + 'a> {
-    let alpha = net.physics().attenuation;
-    let neg_ln_q = -(net.physics().swap_success.ln());
-    DijkstraConfig {
-        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
-        can_relay: move |v: NodeId| net.kind(v).is_switch() && capacity.can_relay(v),
-    }
-}
 
 /// A switch the first user's shortest-path tree relays through — the
 /// victim whose kill makes the repair rows do real work.
@@ -72,8 +58,13 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
     let users = net.users().to_vec();
     let mut ws = DijkstraWorkspace::with_capacity(net.graph().node_count());
 
+    // The finder's own configuration at the graph layer, so the repair
+    // and wholesale rows measure the same search the finder runs.
+    let model = Algorithm1::new(&net);
+    let rejected = Cell::new(0u64);
+
     // Pre-delta baselines for every user source, full capacity.
-    let cfg = muerp_config(&net, &capacity);
+    let cfg = model.config(&capacity, &rejected);
     let baselines: Vec<DijkstraRun> = users
         .iter()
         .map(|&u| dijkstra_into(&mut ws, net.graph(), u, &cfg).to_run())
@@ -83,7 +74,7 @@ fn bench_topology(label: &str, switches: usize, seed: u64) -> Value {
     // The worsening delta and its post-delta configuration.
     let mut degraded = capacity.clone();
     degraded.withdraw(victim, u32::MAX);
-    let cfg_post = muerp_config(&net, &degraded);
+    let cfg_post = model.config(&degraded, &rejected);
     let mut delta = SsspDelta::new();
     delta.block_node(victim);
     let mut scratch = RepairScratch::new();

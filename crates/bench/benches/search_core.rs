@@ -12,10 +12,11 @@
 //!   [`DijkstraWorkspace`]: generation-stamped O(1) reset, zero
 //!   steady-state allocation, borrowed result views.
 //! * **cached** — [`ChannelFinderCache`] keyed by `(source, capacity
-//!   epoch)`: repeat queries under unchanged capacity skip the search
-//!   entirely; a `refresh` row shows the in-place re-run cost after an
-//!   epoch bump, and a `fill` row the same misses served into freshly
-//!   allocated entries (the refresh ≤ fill invariant's denominator).
+//!   epoch, mask hash)`: repeat queries under unchanged capacity skip
+//!   the search entirely; a `refresh` row shows the in-place re-run cost
+//!   after a failure-mask switch, and a `fill` row the same misses
+//!   served into freshly allocated entries (the refresh ≤ fill
+//!   invariant's denominator).
 //! * **parallel** — `ChannelFinderCache::warm` batching all stale user
 //!   sources across a [`Pool`] of N workers, measured at 1/2/4/8
 //!   threads (results are bitwise identical at every width; only the
@@ -34,13 +35,14 @@
 use muerp_bench::{
     measure_ns_median, measure_ns_paired, quick_mode, scaled_network, write_bench_report,
 };
-use muerp_core::algorithms::{ChannelFinder, ChannelFinderCache};
+use muerp_core::algorithms::{Algorithm1, ChannelFinder, ChannelFinderCache};
 use muerp_core::prelude::*;
 use qnet_graph::ksp::k_shortest_paths_in;
-use qnet_graph::paths::{dijkstra_into, DijkstraConfig, DijkstraWorkspace};
-use qnet_graph::{EdgeRef, NodeId};
+use qnet_graph::paths::{dijkstra_into, DijkstraWorkspace};
+use qnet_graph::{EdgeId, SearchMask};
 use qnet_pool::Pool;
 use serde_json::Value;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
@@ -48,26 +50,14 @@ const KSP_K: usize = 5;
 /// Pool widths of the `finder_parallel_*` scaling rows.
 const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// The MUERP edge cost and relay filter, spelled out at the graph layer
-/// (mirrors `ChannelFinder::from_source`) so the raw-Dijkstra rows
-/// measure the same search the finder performs.
-fn muerp_config<'a>(
-    net: &'a QuantumNetwork,
-    capacity: &'a CapacityMap,
-) -> DijkstraConfig<impl Fn(EdgeRef<'_, f64>) -> f64 + 'a, impl Fn(NodeId) -> bool + 'a> {
-    let alpha = net.physics().attenuation;
-    let neg_ln_q = -(net.physics().swap_success.ln());
-    DijkstraConfig {
-        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
-        can_relay: move |v: NodeId| net.kind(v).is_switch() && capacity.can_relay(v),
-    }
-}
-
 fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Value {
     let net = scaled_network(switches, seed);
     let capacity = CapacityMap::new(&net);
     let users = net.users().to_vec();
-    let cfg = muerp_config(&net, &capacity);
+    // The finder's own configuration at the graph layer, so the
+    // raw-Dijkstra rows measure the same search the finder performs.
+    let rejected = Cell::new(0u64);
+    let cfg = Algorithm1::new(&net).config(&capacity, &rejected);
 
     // --- Raw Dijkstra: one all-sources sweep per op. ---
     let dijkstra_fresh = measure_ns_median(|| {
@@ -108,39 +98,51 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
         }
     });
     // Fill vs refresh, measured as an interleaved pair because the
-    // assertion below is about their *ratio*. Both ops bump the epoch
-    // and re-search every source through the identical cache-miss code
-    // path; the only difference is the result buffers — `clear()` makes
-    // every miss a fill (fresh allocations), while the refresh op reuses
-    // each entry's existing buffers in place.
-    // RefCell because both halves of the pair mutate the same cache and
-    // capacity map; the closures never run reentrantly.
+    // assertion below is about their *ratio*. Every op (of either kind)
+    // looks each source up under the other of two single-edge failure
+    // masks than the op before it, so no entry matches the mask it was
+    // computed under and every lookup runs the full search through the
+    // identical cache-miss code path. The only difference is the result
+    // buffers — `clear()` makes every miss a fill (fresh allocations),
+    // while the refresh op re-searches into each entry's existing
+    // buffers in place. (Bumping the capacity epoch would not do: with
+    // no relay flip the delta engine revalidates every entry in O(1).)
+    // Each op checks its own tally delta, in quick mode too.
+    // RefCell because both halves of the pair mutate the same cache;
+    // the closures never run reentrantly.
+    let edges = net.graph().edge_count();
+    let masks = [edges - 1, edges - 2].map(|e| {
+        let mut mask = SearchMask::new();
+        mask.kill_edge(EdgeId::new(e));
+        mask
+    });
+    let turn = Cell::new(0usize);
     let cache = std::cell::RefCell::new(cache);
-    let refresh_capacity = std::cell::RefCell::new(capacity.clone());
-    let probe = ChannelFinder::from_source(&net, &capacity, users[0])
-        .channel_to(users[1])
-        .expect("paper-default networks connect their users");
-    let (finder_fill, finder_refresh) = measure_ns_paired(
-        || {
-            let mut cache = cache.borrow_mut();
-            let mut cap = refresh_capacity.borrow_mut();
-            cap.reserve(&probe);
-            cap.release(&probe);
+    let op = |fill: bool| {
+        let mut cache = cache.borrow_mut();
+        turn.set(turn.get() ^ 1);
+        let mask = &masks[turn.get()];
+        let mut expected = cache.efficiency();
+        if fill {
             cache.clear();
-            for &u in &users {
-                black_box(cache.finder(&cap, u).channel_to(users[0]));
-            }
-        },
-        || {
-            let mut cache = cache.borrow_mut();
-            let mut cap = refresh_capacity.borrow_mut();
-            cap.reserve(&probe);
-            cap.release(&probe);
-            for &u in &users {
-                black_box(cache.finder(&cap, u).channel_to(users[0]));
-            }
-        },
-    );
+            expected.fills += users.len() as u64;
+        } else {
+            expected.refreshes += users.len() as u64;
+        }
+        for &u in &users {
+            black_box(
+                cache
+                    .finder_masked(&capacity, Some(mask), u)
+                    .channel_to(users[0]),
+            );
+        }
+        assert_eq!(
+            cache.efficiency(),
+            expected,
+            "{label}: every fill/refresh op must run one full search per source"
+        );
+    };
+    let (finder_fill, finder_refresh) = measure_ns_paired(|| op(true), || op(false));
     // A cache refresh recycles the entry's buffers and (since the fused
     // write-out) copies the result in one pass — it must not cost more
     // than the fill path that allocates those buffers from scratch. The
@@ -219,6 +221,9 @@ fn bench_topology(label: &str, switches: usize, seed: u64, scaling: bool) -> Val
     // `warm` refreshes the whole batch across the pool. Output is
     // thread-count-invariant; the rows measure pure wall-clock scaling.
     if scaling {
+        let probe = ChannelFinder::from_source(&net, &capacity, users[0])
+            .channel_to(users[1])
+            .expect("paper-default networks connect their users");
         let mut one_thread_ns = f64::NAN;
         for t in SCALING_THREADS {
             let mut cache = ChannelFinderCache::with_pool(&net, Pool::with_threads(t));

@@ -21,46 +21,90 @@ use qnet_pool::Pool;
 use crate::channel::{CapacityMap, Channel};
 use crate::model::QuantumNetwork;
 
-/// Algorithm 1's search configuration under `capacity` — the one place
-/// the `α·L − ln q` edge cost and the capacity-aware relay filter are
-/// defined. Edge cost `α·L − ln q` is non-negative since q ≤ 1. A
-/// degenerate q = 0 makes every swap impossible; only direct user-user
-/// fibers (zero swaps) remain usable, which is expressed by forbidding
-/// all relaying while keeping single edges finite.
+/// Algorithm 1's cost model — the one place the `α·L − ln q` edge cost
+/// and the capacity-aware relay rule are defined. The finder's search,
+/// the cache's delta repair and relay mirror, Yen's k-best channels,
+/// the hop-bounded fidelity search and the search benches all read it
+/// from here; only the independent oracles (`core::audit`, the
+/// conformance metamorphic checks) recompute it on their own.
 ///
-/// Every switch the filter turns away for lack of free qubits bumps
-/// `rejected_full`. Dijkstra consults the relay filter at most once per
-/// vertex per run (settled vertices are never re-queried), so after one
-/// search the tally counts *distinct* full switches — returned to the
-/// caller instead of paying an atomic per rejection inside the search.
-fn algorithm1_config<'a>(
-    net: &'a QuantumNetwork,
-    capacity: &'a CapacityMap,
-    rejected_full: &'a Cell<u64>,
-) -> DijkstraConfig<impl Fn(EdgeRef<'_, f64>) -> f64 + 'a, impl Fn(NodeId) -> bool + 'a> {
-    let q = net.physics().swap_success;
-    let alpha = net.physics().attenuation;
-    let neg_ln_q = if q > 0.0 { -(q.ln()) } else { 0.0 };
-    let swaps_possible = q > 0.0;
-    DijkstraConfig {
-        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
-        can_relay: move |v: NodeId| {
-            if !(swaps_possible && net.kind(v).is_switch()) {
-                return false;
-            }
-            if !capacity.can_relay(v) {
-                rejected_full.set(rejected_full.get() + 1);
-                return false;
-            }
-            true
-        },
+/// Edge cost `α·L − ln q` is non-negative since q ≤ 1. A degenerate
+/// q = 0 makes every swap impossible; only direct user-user fibers
+/// (zero swaps) remain usable, which is expressed by forbidding all
+/// relaying while keeping single edges finite.
+#[derive(Clone, Copy, Debug)]
+pub struct Algorithm1<'n> {
+    net: &'n QuantumNetwork,
+    alpha: f64,
+    neg_ln_q: f64,
+    swaps_possible: bool,
+}
+
+impl<'n> Algorithm1<'n> {
+    /// The cost model of `net`'s physics.
+    pub fn new(net: &'n QuantumNetwork) -> Self {
+        let q = net.physics().swap_success;
+        Algorithm1 {
+            net,
+            alpha: net.physics().attenuation,
+            neg_ln_q: if q > 0.0 { -(q.ln()) } else { 0.0 },
+            swaps_possible: q > 0.0,
+        }
+    }
+
+    /// Cost of traversing a fiber of `length`: `α·L − ln q`.
+    #[inline]
+    pub fn edge_cost(&self, length: f64) -> f64 {
+        self.alpha * length + self.neg_ln_q
+    }
+
+    /// Whether `v` may relay under `capacity`: swaps are possible, `v`
+    /// is a switch, and it has at least 2 free qubits.
+    pub fn can_relay(&self, capacity: &CapacityMap, v: NodeId) -> bool {
+        self.relay(capacity, v, || {})
+    }
+
+    /// The relay rule; `on_full` runs when `v` is a switch turned away
+    /// only for lack of free qubits.
+    #[inline]
+    fn relay(&self, capacity: &CapacityMap, v: NodeId, on_full: impl FnOnce()) -> bool {
+        if !(self.swaps_possible && self.net.kind(v).is_switch()) {
+            return false;
+        }
+        if !capacity.can_relay(v) {
+            on_full();
+            return false;
+        }
+        true
+    }
+
+    /// The search configuration under `capacity`.
+    ///
+    /// Every switch the relay filter turns away for lack of free qubits
+    /// bumps `rejected_full`. Dijkstra consults the filter at most once
+    /// per vertex per run (settled vertices are never re-queried), so
+    /// after one search the tally counts *distinct* full switches —
+    /// returned to the caller instead of paying an atomic per rejection
+    /// inside the search.
+    pub fn config(
+        self,
+        capacity: &'n CapacityMap,
+        rejected_full: &'n Cell<u64>,
+    ) -> DijkstraConfig<impl Fn(EdgeRef<'_, f64>) -> f64 + 'n, impl Fn(NodeId) -> bool + 'n> {
+        DijkstraConfig {
+            edge_cost: move |e: EdgeRef<'_, f64>| self.edge_cost(*e.payload),
+            can_relay: move |v: NodeId| {
+                self.relay(capacity, v, || rejected_full.set(rejected_full.get() + 1))
+            },
+        }
     }
 }
 
-/// The search half of [`run_algorithm1`]: runs Algorithm 1 from
-/// `source` and returns the borrowed view plus the run's full-switch
-/// rejection tally — **without** touching the flight recorder or
-/// flushing the rejection counter.
+/// Runs Algorithm 1 from `source` and returns the borrowed view plus
+/// the run's full-switch rejection tally — **without** touching the
+/// flight recorder or flushing the rejection counter. A failure `mask`
+/// excludes dead edges and vertices (survivability repair); `None`
+/// searches the intact network.
 ///
 /// That restraint is what makes the function safe to call from pool
 /// workers: the flight-recorder ring orders events by arrival, so
@@ -78,7 +122,7 @@ fn run_algorithm1_quiet<'w>(
     mask: Option<&SearchMask>,
 ) -> (qnet_graph::DijkstraView<'w>, u64) {
     let rejected_full = Cell::new(0u64);
-    let cfg = algorithm1_config(net, capacity, &rejected_full);
+    let cfg = Algorithm1::new(net).config(capacity, &rejected_full);
     qnet_obs::counter!("core.channel.finder_runs");
     let _span = qnet_obs::span!("core.channel.finder_run");
     let view = match mask {
@@ -88,11 +132,11 @@ fn run_algorithm1_quiet<'w>(
     (view, rejected_full.get())
 }
 
-/// The bookkeeping half of [`run_algorithm1`]: flushes a run's
-/// rejection tally and emits its `FinderRun` trace event. Call on the
-/// submitting thread, in source order, after a (possibly parallel)
-/// batch of [`run_algorithm1_quiet`] searches — the flight-recorder
-/// contents then never depend on worker scheduling.
+/// The bookkeeping half of a search: flushes a run's rejection tally
+/// and emits its `FinderRun` trace event. Call on the submitting
+/// thread, in source order, after a (possibly parallel) batch of
+/// [`run_algorithm1_quiet`] searches — the flight-recorder contents
+/// then never depend on worker scheduling.
 fn finish_finder_run(source: NodeId, rejected_full: u64, epoch: u64) {
     if rejected_full > 0 {
         qnet_obs::counter!("core.channel.rejected", reason = "qubit_capacity"; rejected_full);
@@ -104,26 +148,6 @@ fn finish_finder_run(source: NodeId, rejected_full: u64, epoch: u64) {
             epoch,
         });
     }
-}
-
-/// Runs the Algorithm-1 search from `source` and leaves the result in
-/// `ws`; the caller materializes it however it likes (fresh
-/// [`DijkstraRun`] or in-place refresh of an existing one).
-///
-/// [`ChannelFinder`] and [`ChannelFinderCache`] both route through it
-/// (the cache via the split [`run_algorithm1_quiet`]/[`finish_finder_run`]
-/// halves). A failure `mask` excludes dead edges and vertices
-/// (survivability repair); `None` searches the intact network.
-fn run_algorithm1<'w>(
-    ws: &'w mut DijkstraWorkspace,
-    net: &QuantumNetwork,
-    capacity: &CapacityMap,
-    source: NodeId,
-    mask: Option<&SearchMask>,
-) -> qnet_graph::DijkstraView<'w> {
-    let (view, rejected) = run_algorithm1_quiet(ws, net, capacity, source, mask);
-    finish_finder_run(source, rejected, capacity.epoch());
-    view
 }
 
 /// A single-source Algorithm-1 run: max-rate channels from one user to
@@ -159,33 +183,23 @@ impl<'n> ChannelFinder<'n> {
 
     /// [`ChannelFinder::from_source`] on a caller-provided workspace: the
     /// search itself allocates nothing, only the materialized run does.
+    /// Failure-masked searches go through
+    /// [`ChannelFinderCache::finder_masked`].
     pub fn from_source_in(
         ws: &mut DijkstraWorkspace,
         net: &'n QuantumNetwork,
         capacity: &CapacityMap,
         source: NodeId,
     ) -> Self {
-        Self::from_source_masked_in(ws, net, capacity, source, None)
-    }
-
-    /// [`ChannelFinder::from_source_in`] with failed network elements
-    /// masked out: channels never use a dead edge nor touch a dead
-    /// vertex (not even as an endpoint). `None` means no failures.
-    pub fn from_source_masked_in(
-        ws: &mut DijkstraWorkspace,
-        net: &'n QuantumNetwork,
-        capacity: &CapacityMap,
-        source: NodeId,
-        mask: Option<&SearchMask>,
-    ) -> Self {
-        let run = run_algorithm1(ws, net, capacity, source, mask).to_run();
+        let (view, rejected) = run_algorithm1_quiet(ws, net, capacity, source, None);
+        finish_finder_run(source, rejected, capacity.epoch());
+        let run = view.to_run();
         ChannelFinder {
             net,
             run,
             epoch: capacity.epoch(),
         }
     }
-
     /// The source user of this run.
     pub fn source(&self) -> NodeId {
         self.run.source()
@@ -267,7 +281,7 @@ pub fn max_rate_channel(
 /// into the workspace and patches it for the given newly-blocked relay
 /// set instead of re-running the search from scratch.
 ///
-/// The configuration is the unmasked [`algorithm1_config`] (repairs
+/// The configuration is the unmasked [`Algorithm1::config`] (repairs
 /// only serve unmasked entries) with its rejection tally discarded (a
 /// repair consults only the shrunken region, so its tally would not be
 /// comparable to a full run's); `capacity` must already reflect the
@@ -282,7 +296,7 @@ fn repair_algorithm1(
     blocked: &[NodeId],
 ) -> qnet_graph::RepairStats {
     let unreported = Cell::new(0u64);
-    let cfg = algorithm1_config(net, capacity, &unreported);
+    let cfg = Algorithm1::new(net).config(capacity, &unreported);
     let mut delta = SsspDelta::new();
     for &v in blocked {
         delta.block_node(v);
@@ -299,19 +313,14 @@ fn repair_algorithm1(
 /// exactly-equal offer cannot improve a distance, but it can flip a
 /// predecessor tie depending on heap order, and the cache promises
 /// *bitwise* fidelity, so ties force a recompute too.
-fn improvement_possible(
-    net: &QuantumNetwork,
-    run: &DijkstraRun,
-    v: NodeId,
-    alpha: f64,
-    neg_ln_q: f64,
-) -> bool {
+fn improvement_possible(model: &Algorithm1<'_>, run: &DijkstraRun, v: NodeId) -> bool {
     let Some(dv) = run.distance(v) else {
         // A vertex the source cannot even reach helps nobody as a relay.
         return false;
     };
+    let net = model.net;
     for &(u, e) in net.graph().neighbor_slice(v) {
-        let w = alpha * net.length(e) + neg_ln_q;
+        let w = model.edge_cost(net.length(e));
         let du = run.distance(u).unwrap_or(f64::INFINITY);
         if dv + w <= du {
             return true;
@@ -333,13 +342,28 @@ enum Pending {
     Recompute,
 }
 
-/// One memoized single-source run plus its staleness bookkeeping.
+/// One memoized single-source run plus its staleness bookkeeping. The
+/// capacity epoch the run was last validated at is `finder.epoch`.
 struct Entry<'n> {
-    /// `(capacity epoch, mask hash)` the run was last validated at.
-    key: (u64, u64),
+    /// Hash of the failure mask the run was computed under (`0` for
+    /// the intact network).
+    mask_hash: u64,
     /// What the next lookup at a different epoch must do.
     pending: Pending,
     finder: ChannelFinder<'n>,
+}
+
+/// What [`ChannelFinderCache::resolve`] did with a source's entry.
+enum Resolution {
+    /// Already validated at this epoch under this mask.
+    Fresh,
+    /// Capacity moved, but no relay flip reaches the run: O(1).
+    Revalidated,
+    /// Patched in place for its newly blocked relays.
+    Repaired,
+    /// Needs a full search. Carries the taken-out entry's run buffers
+    /// to recycle (empty on a first touch of the source).
+    Search(DijkstraRun),
 }
 
 /// Memoizes single-source Algorithm-1 runs across solver rounds.
@@ -370,6 +394,10 @@ struct Entry<'n> {
 /// * masked entries always fall back to a full search on any flip (the
 ///   cache stores only the mask's hash, not its dead set).
 ///
+/// Lookups ([`finder_masked`]) and batches ([`warm`]) bring an entry up
+/// to date through one shared decision, `resolve`; they differ only in
+/// that a lookup counts a served entry as a hit and a batch does not.
+///
 /// The epoch key is retained purely as the correctness *backstop*: a
 /// lookup whose epoch matches needs no reasoning at all, and any bug in
 /// the dirty-set derivation is bounded by the differential battery
@@ -398,7 +426,8 @@ struct Entry<'n> {
 /// metric — in-place repairs are tallied separately in
 /// [`CacheEfficiency::repairs`]).
 ///
-/// [`epoch`]: CapacityMap::epoch
+/// [`finder_masked`]: ChannelFinderCache::finder_masked
+/// [`warm`]: ChannelFinderCache::warm
 /// [`search_count`]: ChannelFinderCache::search_count
 pub struct ChannelFinderCache<'n> {
     net: &'n QuantumNetwork,
@@ -408,28 +437,24 @@ pub struct ChannelFinderCache<'n> {
     /// identical at every thread count.
     pool: Pool,
     ws: DijkstraWorkspace,
-    /// Indexed by source node; each entry stores the (epoch, mask hash)
-    /// key its run was computed under plus its pending dirty state.
+    /// Indexed by source node; each entry stores the mask hash its run
+    /// was computed under plus its pending dirty state.
     entries: Vec<Option<Entry<'n>>>,
     /// Static component/bridge analysis of the network graph, used to
     /// pre-filter which sources a relay flip can possibly affect.
     classifier: DeltaClassifier,
     /// Reusable marking buffers for [`dijkstra_repair_into`].
     scratch: RepairScratch,
-    /// Per-node relay predicate of the capacity map last observed
-    /// (`swaps possible && switch && free ≥ 2`), diffed by content
-    /// against each newly observed map.
+    /// Per-node [`Algorithm1::can_relay`] of the capacity map last
+    /// observed, diffed by content against each newly observed map.
     mirror: Vec<bool>,
     /// Epoch [`mirror`](Self::mirror) reflects; `None` before the first
     /// observation.
     mirror_epoch: Option<u64>,
-    /// Full searches actually executed (misses), monotone.
-    searches: u64,
     /// Per-instance hit/miss/refresh/repair tallies (see
     /// [`ChannelFinderCache::efficiency`]).
     efficiency: CacheEfficiency,
 }
-
 /// Deterministic per-cache lookup tallies, split by how each miss was
 /// served. Unlike the global `core.channel.cache_*` counters these are
 /// scoped to one cache instance, so a profile run can report the exact
@@ -490,7 +515,6 @@ impl<'n> ChannelFinderCache<'n> {
             scratch: RepairScratch::new(),
             mirror: Vec::new(),
             mirror_epoch: None,
-            searches: 0,
             efficiency: CacheEfficiency::default(),
         }
     }
@@ -500,9 +524,9 @@ impl<'n> ChannelFinderCache<'n> {
     /// reveals. Every lookup and warm passes through here exactly once
     /// per new epoch, *before* any key comparison — that single coherent
     /// snapshot is what makes "delta landed between snapshot and
-    /// install" impossible (the satellite-4 hazard): keys installed
-    /// later in the same call are always keyed to the observed epoch,
-    /// and the map cannot mutate while borrowed.
+    /// install" impossible: keys installed later in the same call are
+    /// always keyed to the observed epoch, and the map cannot mutate
+    /// while borrowed.
     fn observe(&mut self, capacity: &CapacityMap) {
         let epoch = capacity.epoch();
         if self.mirror_epoch == Some(epoch) {
@@ -510,17 +534,14 @@ impl<'n> ChannelFinderCache<'n> {
             // the map content is bit-identical to the mirror.
             return;
         }
-        let net = self.net;
-        let q = net.physics().swap_success;
-        let swaps_possible = q > 0.0;
-        let relay_now: Vec<bool> = net
+        let model = Algorithm1::new(self.net);
+        let relay_now: Vec<bool> = self
+            .net
             .graph()
             .node_ids()
-            .map(|v| swaps_possible && net.kind(v).is_switch() && capacity.can_relay(v))
+            .map(|v| model.can_relay(capacity, v))
             .collect();
         if self.mirror_epoch.is_some() {
-            let alpha = net.physics().attenuation;
-            let neg_ln_q = if q > 0.0 { -(q.ln()) } else { 0.0 };
             for (i, (&now, &before)) in relay_now.iter().zip(self.mirror.iter()).enumerate() {
                 if now == before {
                     continue;
@@ -531,7 +552,7 @@ impl<'n> ChannelFinderCache<'n> {
                     if entry.pending == Pending::Recompute {
                         continue;
                     }
-                    if entry.key.1 != 0 {
+                    if entry.mask_hash != 0 {
                         // Only the mask's hash is stored, so masked
                         // entries cannot be classified — conservative.
                         entry.pending = Pending::Recompute;
@@ -555,7 +576,7 @@ impl<'n> ChannelFinderCache<'n> {
                             }
                         }
                         (Pending::Clean, false) => {
-                            if improvement_possible(net, &entry.finder.run, v, alpha, neg_ln_q) {
+                            if improvement_possible(&model, &entry.finder.run, v) {
                                 entry.pending = Pending::Recompute;
                             }
                         }
@@ -583,165 +604,39 @@ impl<'n> ChannelFinderCache<'n> {
         self.mirror_epoch = Some(epoch);
     }
 
-    /// The Algorithm-1 run from `source` under `capacity`, reused when
-    /// `capacity` has not changed since the entry was computed.
-    pub fn finder(&mut self, capacity: &CapacityMap, source: NodeId) -> &ChannelFinder<'n> {
-        self.finder_masked(capacity, None, source)
-    }
-
-    /// [`ChannelFinderCache::finder`] under a failure mask: the entry is
-    /// keyed by `(source, epoch, mask hash)`, so masked and unmasked
-    /// runs at the same epoch never alias.
-    pub fn finder_masked(
-        &mut self,
-        capacity: &CapacityMap,
-        mask: Option<&SearchMask>,
-        source: NodeId,
-    ) -> &ChannelFinder<'n> {
-        self.observe(capacity);
-        let idx = source.index();
-        let epoch = capacity.epoch();
-        let key = (epoch, mask.map_or(0, |m| m.hash()));
-        match &mut self.entries[idx] {
-            Some(entry) if entry.key == key => {
-                qnet_obs::counter!("core.channel.cache_hits");
-                self.efficiency.hits += 1;
-            }
-            Some(entry) if entry.key.1 == key.1 && entry.pending == Pending::Clean => {
-                // Capacity moved, but no relay flip can reach this run:
-                // revalidate in O(1), no search.
-                qnet_obs::counter!("core.channel.cache_hits");
-                qnet_obs::counter!("graph.delta.clean");
-                self.efficiency.hits += 1;
-                entry.key = key;
-                entry.finder.epoch = epoch;
-            }
-            Some(entry)
-                if entry.key.1 == key.1
-                    && key.1 == 0
-                    && matches!(entry.pending, Pending::Repair(_)) =>
-            {
-                let Pending::Repair(blocked) =
-                    std::mem::replace(&mut entry.pending, Pending::Clean)
-                else {
-                    unreachable!("guard matched Repair");
-                };
-                qnet_obs::counter!("core.channel.cache_repairs");
-                self.efficiency.repairs += 1;
-                repair_algorithm1(
-                    &mut self.ws,
-                    &mut self.scratch,
-                    self.net,
-                    capacity,
-                    &mut entry.finder.run,
-                    &blocked,
-                );
-                entry.key = key;
-                entry.finder.epoch = epoch;
-            }
-            Some(entry) => {
-                qnet_obs::counter!("core.channel.cache_misses");
-                qnet_obs::counter!("core.channel.cache_refreshes");
-                if entry.key.1 == key.1 {
-                    // Same mask, stale capacity: this full search is the
-                    // delta engine declining to repair (improving flip
-                    // or masked entry), not a key change.
-                    qnet_obs::counter!("graph.delta.recomputed");
-                }
-                self.efficiency.refreshes += 1;
-                let (view, rejected) =
-                    run_algorithm1_quiet(&mut self.ws, self.net, capacity, source, mask);
-                view.write_run(&mut entry.finder.run);
-                entry.finder.epoch = epoch;
-                finish_finder_run(source, rejected, epoch);
-                entry.key = key;
-                entry.pending = Pending::Clean;
-                self.searches += 1;
-            }
-            entry @ None => {
-                qnet_obs::counter!("core.channel.cache_misses");
-                self.efficiency.fills += 1;
-                let (view, rejected) =
-                    run_algorithm1_quiet(&mut self.ws, self.net, capacity, source, mask);
-                let finder = ChannelFinder {
-                    net: self.net,
-                    run: view.to_run(),
-                    epoch,
-                };
-                finish_finder_run(source, rejected, epoch);
-                *entry = Some(Entry {
-                    key,
-                    pending: Pending::Clean,
-                    finder,
-                });
-                self.searches += 1;
-            }
-        }
-        &self.entries[idx]
-            .as_ref()
-            .expect("entry just populated")
-            .finder
-    }
-
-    /// Batch-refreshes the entries for `sources` under `(capacity,
-    /// mask)` — **Algorithm 1 as a multi-source batch**. Sources whose
-    /// entry is already fresh are skipped; the rest are searched
-    /// concurrently on the cache's [`Pool`] (workers share the
-    /// network graph read-only), each stale entry's result buffers recycled as the
-    /// staging target. Subsequent [`finder`](ChannelFinderCache::finder)
-    /// calls for these sources at the same epoch are then cache hits.
+    /// The one decision every lookup and warm makes about `source`'s
+    /// entry under the already-observed `capacity` and the mask hashed
+    /// to `mask_hash`: serve it as it is, revalidate it in O(1), repair
+    /// it in place, or hand its buffers back for a full search (the
+    /// entry is then taken out until the caller installs the result).
     ///
-    /// Determinism: results are installed — and their trace events
-    /// emitted — in `sources` order on the calling thread, so cache
-    /// state, counters tied to search results, and the flight recorder
-    /// are bitwise identical for every pool width (the property
-    /// `tests/parallel_equivalence.rs` locks in). Warm searches tally
-    /// as misses (refresh or fill) exactly like the lazy path.
-    pub fn warm(&mut self, capacity: &CapacityMap, sources: &[NodeId]) {
-        self.warm_masked(capacity, None, sources)
-    }
-
-    /// [`ChannelFinderCache::warm`] under a failure mask.
-    pub fn warm_masked(
-        &mut self,
-        capacity: &CapacityMap,
-        mask: Option<&SearchMask>,
-        sources: &[NodeId],
-    ) {
-        // One coherent snapshot *before* any classification or fan-out.
-        // Every key installed below — including by the pooled merge — is
-        // keyed to this observed epoch, and `capacity` cannot mutate
-        // while the call borrows it, so a delta can never land between
-        // the snapshot and the install (the warm staleness hazard
-        // `tests/delta_cache.rs` locks down).
-        self.observe(capacity);
+    /// Tallies every outcome except hits, which only lookups count.
+    #[inline]
+    fn resolve(&mut self, capacity: &CapacityMap, mask_hash: u64, source: NodeId) -> Resolution {
         let epoch = capacity.epoch();
-        let key = (epoch, mask.map_or(0, |m| m.hash()));
-        // Resolve delta-classified entries inline, in source order and
-        // on the calling thread (repairs share the cache's workspace and
-        // are cheap); collect the remaining stale sources in input order
-        // (first occurrence wins), recycling each stale entry's run as
-        // the staging buffer for the pooled searches.
-        let mut jobs: Vec<(NodeId, DijkstraRun)> = Vec::new();
-        for &src in sources {
-            let entry_slot = &mut self.entries[src.index()];
-            match entry_slot {
-                Some(entry) if entry.key == key => {}
-                Some(entry) if entry.key.1 == key.1 && entry.pending == Pending::Clean => {
+        let slot = &mut self.entries[source.index()];
+        let Some(entry) = slot else {
+            qnet_obs::counter!("core.channel.cache_misses");
+            self.efficiency.fills += 1;
+            return Resolution::Search(DijkstraRun::default());
+        };
+        let same_mask = entry.mask_hash == mask_hash;
+        if same_mask {
+            if entry.finder.epoch == epoch {
+                return Resolution::Fresh;
+            }
+            match &mut entry.pending {
+                Pending::Clean => {
+                    // Capacity moved, but no relay flip can reach this
+                    // run: revalidate in O(1), no search.
                     qnet_obs::counter!("graph.delta.clean");
-                    entry.key = key;
                     entry.finder.epoch = epoch;
+                    return Resolution::Revalidated;
                 }
-                Some(entry)
-                    if entry.key.1 == key.1
-                        && key.1 == 0
-                        && matches!(entry.pending, Pending::Repair(_)) =>
-                {
-                    let Pending::Repair(blocked) =
-                        std::mem::replace(&mut entry.pending, Pending::Clean)
-                    else {
-                        unreachable!("guard matched Repair");
-                    };
+                Pending::Repair(blocked) => {
+                    debug_assert_eq!(mask_hash, 0, "observe never queues a masked repair");
+                    let blocked = std::mem::take(blocked);
+                    entry.pending = Pending::Clean;
                     qnet_obs::counter!("core.channel.cache_repairs");
                     self.efficiency.repairs += 1;
                     repair_algorithm1(
@@ -752,44 +647,134 @@ impl<'n> ChannelFinderCache<'n> {
                         &mut entry.finder.run,
                         &blocked,
                     );
-                    entry.key = key;
                     entry.finder.epoch = epoch;
+                    return Resolution::Repaired;
                 }
-                taken => {
-                    if jobs.iter().any(|(s, _)| *s == src) {
-                        continue;
-                    }
-                    let run = match taken.take() {
-                        Some(entry) => {
-                            qnet_obs::counter!("core.channel.cache_misses");
-                            qnet_obs::counter!("core.channel.cache_refreshes");
-                            if entry.key.1 == key.1 {
-                                qnet_obs::counter!("graph.delta.recomputed");
-                            }
-                            self.efficiency.refreshes += 1;
-                            entry.finder.run
-                        }
-                        None => {
-                            qnet_obs::counter!("core.channel.cache_misses");
-                            self.efficiency.fills += 1;
-                            DijkstraRun::default()
-                        }
-                    };
-                    jobs.push((src, run));
-                }
+                Pending::Recompute => {}
+            }
+        }
+        qnet_obs::counter!("core.channel.cache_misses");
+        qnet_obs::counter!("core.channel.cache_refreshes");
+        if same_mask {
+            // Same mask, stale capacity: this full search is the delta
+            // engine declining to repair (improving flip or masked
+            // entry), not a key change.
+            qnet_obs::counter!("graph.delta.recomputed");
+        }
+        self.efficiency.refreshes += 1;
+        let entry = slot.take().expect("matched Some above");
+        Resolution::Search(entry.finder.run)
+    }
+
+    /// Installs a freshly searched `run` for `source`, validated at
+    /// `epoch` under `mask_hash`, and flushes the run's deferred
+    /// bookkeeping.
+    fn install(
+        &mut self,
+        source: NodeId,
+        mask_hash: u64,
+        run: DijkstraRun,
+        rejected: u64,
+        epoch: u64,
+    ) {
+        finish_finder_run(source, rejected, epoch);
+        self.entries[source.index()] = Some(Entry {
+            mask_hash,
+            pending: Pending::Clean,
+            finder: ChannelFinder {
+                net: self.net,
+                run,
+                epoch,
+            },
+        });
+    }
+
+    /// The Algorithm-1 run from `source` under `capacity`, reused when
+    /// `capacity` has not changed since the entry was computed.
+    pub fn finder(&mut self, capacity: &CapacityMap, source: NodeId) -> &ChannelFinder<'n> {
+        self.finder_masked(capacity, None, source)
+    }
+
+    /// [`ChannelFinderCache::finder`] under a failure mask: channels
+    /// never use a dead edge nor touch a dead vertex (not even as an
+    /// endpoint). The entry is keyed by `(source, epoch, mask hash)`,
+    /// so masked and unmasked runs at the same epoch never alias.
+    pub fn finder_masked(
+        &mut self,
+        capacity: &CapacityMap,
+        mask: Option<&SearchMask>,
+        source: NodeId,
+    ) -> &ChannelFinder<'n> {
+        self.observe(capacity);
+        let mask_hash = mask.map_or(0, |m| m.hash());
+        match self.resolve(capacity, mask_hash, source) {
+            Resolution::Fresh | Resolution::Revalidated => {
+                qnet_obs::counter!("core.channel.cache_hits");
+                self.efficiency.hits += 1;
+            }
+            Resolution::Repaired => {}
+            Resolution::Search(mut run) => {
+                let (view, rejected) =
+                    run_algorithm1_quiet(&mut self.ws, self.net, capacity, source, mask);
+                view.write_run(&mut run);
+                self.install(source, mask_hash, run, rejected, capacity.epoch());
+            }
+        }
+        &self.entries[source.index()]
+            .as_ref()
+            .expect("entry just resolved")
+            .finder
+    }
+
+    /// Batch-refreshes the entries for `sources` under `capacity` —
+    /// **Algorithm 1 as a multi-source batch**. Each source's entry goes
+    /// through the same `resolve` step as a lookup; the sources that
+    /// still need a full search are searched concurrently on the
+    /// cache's [`Pool`] (workers share the network graph read-only),
+    /// each stale entry's result buffers recycled as the staging
+    /// target. Subsequent [`finder`](ChannelFinderCache::finder) calls
+    /// for these sources at the same epoch are then cache hits.
+    ///
+    /// Determinism: results are installed — and their trace events
+    /// emitted — in `sources` order on the calling thread, so cache
+    /// state, counters tied to search results, and the flight recorder
+    /// are bitwise identical for every pool width (the property
+    /// `tests/parallel_equivalence.rs` locks in). Warm searches tally
+    /// as misses (refresh or fill) exactly like the lazy path; entries
+    /// already fresh or revalidated are not counted as hits.
+    pub fn warm(&mut self, capacity: &CapacityMap, sources: &[NodeId]) {
+        // One coherent snapshot *before* any classification or fan-out.
+        // Every key installed below — including by the pooled merge — is
+        // keyed to this observed epoch, and `capacity` cannot mutate
+        // while the call borrows it, so a delta can never land between
+        // the snapshot and the install (the warm staleness hazard
+        // `tests/delta_cache.rs` locks down).
+        self.observe(capacity);
+        let epoch = capacity.epoch();
+        // Resolve every source in input order on the calling thread
+        // (repairs share the cache's workspace and are cheap) and queue
+        // the ones that need a search with their recycled runs. A repeat
+        // of a queued source is skipped first: its entry is out on loan
+        // and would otherwise read as a first touch.
+        let mut jobs: Vec<(NodeId, DijkstraRun)> = Vec::new();
+        for &src in sources {
+            if jobs.iter().any(|(s, _)| *s == src) {
+                continue;
+            }
+            if let Resolution::Search(run) = self.resolve(capacity, 0, src) {
+                jobs.push((src, run));
             }
         }
         if jobs.is_empty() {
             return;
         }
-        self.searches += jobs.len() as u64;
 
         let results: Vec<(NodeId, DijkstraRun, u64)> = if self.pool.is_sequential() {
             // Inline path: reuse the cache's own workspace, no spawns.
             let mut out = Vec::with_capacity(jobs.len());
             for (src, mut run) in jobs {
                 let (view, rejected) =
-                    run_algorithm1_quiet(&mut self.ws, self.net, capacity, src, mask);
+                    run_algorithm1_quiet(&mut self.ws, self.net, capacity, src, None);
                 view.write_run(&mut run);
                 out.push((src, run, rejected));
             }
@@ -801,7 +786,7 @@ impl<'n> ChannelFinderCache<'n> {
                 jobs,
                 || DijkstraWorkspace::with_capacity(order),
                 |ws, (src, mut run), _| {
-                    let (view, rejected) = run_algorithm1_quiet(ws, net, capacity, src, mask);
+                    let (view, rejected) = run_algorithm1_quiet(ws, net, capacity, src, None);
                     view.write_run(&mut run);
                     (src, run, rejected)
                 },
@@ -811,16 +796,7 @@ impl<'n> ChannelFinderCache<'n> {
         // Merge on the calling thread, in source order: install entries
         // and emit the deferred per-run events deterministically.
         for (src, run, rejected) in results {
-            finish_finder_run(src, rejected, epoch);
-            self.entries[src.index()] = Some(Entry {
-                key,
-                pending: Pending::Clean,
-                finder: ChannelFinder {
-                    net: self.net,
-                    run,
-                    epoch,
-                },
-            });
+            self.install(src, 0, run, rejected, epoch);
         }
     }
 
@@ -847,26 +823,15 @@ impl<'n> ChannelFinderCache<'n> {
         self.finder(capacity, a).channel_to(b)
     }
 
-    /// [`ChannelFinderCache::channel`] under a failure mask.
-    pub fn channel_masked(
-        &mut self,
-        capacity: &CapacityMap,
-        mask: Option<&SearchMask>,
-        a: NodeId,
-        b: NodeId,
-    ) -> Option<Channel> {
-        self.finder_masked(capacity, mask, a).channel_to(b)
-    }
-
     /// Number of *full* Algorithm-1 searches this cache has actually
-    /// run (cache misses); hits, O(1) revalidations, and in-place delta
-    /// repairs are all excluded (repairs are tallied in
+    /// run: its refreshes plus fills. Hits, O(1) revalidations, and
+    /// in-place delta repairs are all excluded (repairs are tallied in
     /// [`CacheEfficiency::repairs`]). This is the deterministic
     /// per-cache cost metric the repair engine reports as latency —
     /// unlike the global obs counters it is unaffected by concurrent
     /// work elsewhere in the process.
     pub fn search_count(&self) -> u64 {
-        self.searches
+        self.efficiency.refreshes + self.efficiency.fills
     }
 
     /// This cache's lookup tallies, split hit/refresh/fill. Fully
@@ -1003,8 +968,9 @@ mod tests {
         let e_as1 = net.graph().find_edge(a, s1).unwrap();
         let mut mask = SearchMask::new();
         mask.kill_edge(e_as1);
-        let mut ws = DijkstraWorkspace::new();
-        let c = ChannelFinder::from_source_masked_in(&mut ws, &net, &cap, a, Some(&mask))
+        let mut cache = ChannelFinderCache::new(&net);
+        let c = cache
+            .finder_masked(&cap, Some(&mask), a)
             .channel_to(b)
             .unwrap();
         assert_eq!(c.link_count(), 1, "masked edge forces the direct fiber");
@@ -1012,7 +978,7 @@ mod tests {
         // Kill the switch instead: same outcome, and s1 is untouchable.
         let mut mask = SearchMask::new();
         mask.kill_node(s1);
-        let finder = ChannelFinder::from_source_masked_in(&mut ws, &net, &cap, a, Some(&mask));
+        let finder = cache.finder_masked(&cap, Some(&mask), a);
         let c = finder.channel_to(b).unwrap();
         assert_eq!(c.link_count(), 1);
         assert!(finder.channel_to(s1).is_none(), "dead vertex unreachable");
@@ -1030,7 +996,10 @@ mod tests {
         let mut cache = ChannelFinderCache::new(&net);
 
         // Masked query first: detour around the dead switch.
-        let masked = cache.channel_masked(&cap, Some(&mask), a, b).unwrap();
+        let masked = cache
+            .finder_masked(&cap, Some(&mask), a)
+            .channel_to(b)
+            .unwrap();
         assert_eq!(masked.link_count(), 1);
         // Unmasked query at the SAME epoch must re-search, not reuse the
         // masked run: the via-switch route is alive and better.
@@ -1038,19 +1007,28 @@ mod tests {
         assert_eq!(unmasked.link_count(), 2, "stale-mask cache hit");
         assert_eq!(unmasked.interior_switches(), &[s1]);
         // And flipping back must not reuse the unmasked run either.
-        let masked_again = cache.channel_masked(&cap, Some(&mask), a, b).unwrap();
+        let masked_again = cache
+            .finder_masked(&cap, Some(&mask), a)
+            .channel_to(b)
+            .unwrap();
         assert_eq!(masked_again.link_count(), 1);
         assert_eq!(cache.search_count(), 3, "three distinct keys, no hits");
 
         // Same mask twice at the same epoch *is* a hit.
-        let repeat = cache.channel_masked(&cap, Some(&mask), a, b).unwrap();
+        let repeat = cache
+            .finder_masked(&cap, Some(&mask), a)
+            .channel_to(b)
+            .unwrap();
         assert_eq!(repeat.link_count(), 1);
         assert_eq!(cache.search_count(), 3, "identical key must hit");
 
         // An equal-content mask built in a different order hits too.
         let mut mask2 = SearchMask::new();
         mask2.kill_node(s1);
-        let again = cache.channel_masked(&cap, Some(&mask2), a, b).unwrap();
+        let again = cache
+            .finder_masked(&cap, Some(&mask2), a)
+            .channel_to(b)
+            .unwrap();
         assert_eq!(again.link_count(), 1);
         assert_eq!(cache.search_count(), 3);
     }

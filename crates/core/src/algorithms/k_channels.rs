@@ -3,12 +3,16 @@
 //! Algorithm 1 returns *the* maximum-rate channel; the local-search
 //! extension ([`super::local_search`]) needs ranked alternatives so a
 //! capacity conflict can be resolved by "second-best here, best there".
-//! This is Yen's algorithm under the MUERP edge cost and relay filter.
+//! This is Yen's algorithm under Algorithm 1's cost model
+//! ([`super::Algorithm1`]).
+
+use std::cell::Cell;
 
 use qnet_graph::ksp::k_shortest_paths_in;
-use qnet_graph::paths::{DijkstraConfig, DijkstraWorkspace};
-use qnet_graph::{EdgeRef, NodeId};
+use qnet_graph::paths::DijkstraWorkspace;
+use qnet_graph::NodeId;
 
+use super::channel_finder::Algorithm1;
 use crate::channel::{CapacityMap, Channel};
 use crate::model::QuantumNetwork;
 
@@ -26,20 +30,17 @@ pub fn k_best_channels_in(
     b: NodeId,
     k: usize,
 ) -> Vec<Channel> {
-    let q = net.physics().swap_success;
-    if q <= 0.0 {
+    if net.physics().swap_success <= 0.0 {
         // Only a direct fiber can work; delegate to the single-channel
-        // finder which handles this degenerate case.
+        // finder which handles this degenerate case (Yen's spur paths
+        // could otherwise return parallel direct fibers).
         return super::channel_finder::max_rate_channel(net, capacity, a, b)
             .into_iter()
             .collect();
     }
-    let alpha = net.physics().attenuation;
-    let neg_ln_q = -(q.ln());
-    let cfg = DijkstraConfig {
-        edge_cost: move |e: EdgeRef<'_, f64>| alpha * *e.payload + neg_ln_q,
-        can_relay: |v: NodeId| net.kind(v).is_switch() && capacity.can_relay(v),
-    };
+    // Yen reports no rejection tally.
+    let unreported = Cell::new(0u64);
+    let cfg = Algorithm1::new(net).config(capacity, &unreported);
     let channels: Vec<Channel> = k_shortest_paths_in(ws, net.graph(), a, b, k, &cfg)
         .into_iter()
         .map(|p| Channel::from_path(net, p))

@@ -2,7 +2,7 @@
 //!
 //! | Paper | Here |
 //! |---|---|
-//! | Algorithm 1 — maximum entanglement-rate channel | [`max_rate_channel`], [`ChannelFinder`] |
+//! | Algorithm 1 — maximum entanglement-rate channel | [`max_rate_channel`], [`ChannelFinder`] (cost model: [`Algorithm1`]) |
 //! | Algorithm 2 — optimal under `Q ≥ 2·\|U\|` | [`OptimalSufficient`] |
 //! | Algorithm 3 — conflict-free heuristic | [`ConflictFree`] |
 //! | Algorithm 4 — Prim-based heuristic | [`PrimBased`] |
@@ -19,7 +19,9 @@ mod optimal;
 mod prim_based;
 
 pub use beam::BeamSearch;
-pub use channel_finder::{max_rate_channel, CacheEfficiency, ChannelFinder, ChannelFinderCache};
+pub use channel_finder::{
+    max_rate_channel, Algorithm1, CacheEfficiency, ChannelFinder, ChannelFinderCache,
+};
 pub use conflict_free::{ConflictFree, RetentionPolicy};
 pub use k_channels::k_best_channels_in;
 pub use local_search::{refine, LocalSearchOptions, Refined};

@@ -21,6 +21,7 @@ use qnet_graph::paths::Path;
 use qnet_graph::{EdgeId, NodeId};
 use serde::{Deserialize, Serialize};
 
+use crate::algorithms::Algorithm1;
 use crate::channel::{CapacityMap, Channel};
 use crate::error::RoutingError;
 use crate::model::QuantumNetwork;
@@ -89,8 +90,8 @@ impl FidelityModel {
 /// links — the hop-layered Algorithm 1 used by fidelity-aware routing.
 ///
 /// Dynamic program over `(hops, node)`: `cost[h][v]` is the cheapest
-/// admissible path of exactly ≤ h links, with the same relay rule as
-/// Algorithm 1 (interior = switch with ≥ 2 free qubits).
+/// admissible path of exactly ≤ h links, under Algorithm 1's edge cost
+/// and relay rule ([`Algorithm1`]).
 pub fn max_rate_channel_bounded(
     net: &QuantumNetwork,
     capacity: &CapacityMap,
@@ -99,13 +100,11 @@ pub fn max_rate_channel_bounded(
     max_links: usize,
 ) -> Option<Channel> {
     let n = net.graph().node_count();
-    let q = net.physics().swap_success;
-    let alpha = net.physics().attenuation;
-    if q <= 0.0 || a == b {
+    if net.physics().swap_success <= 0.0 || a == b {
         return None;
     }
-    let neg_ln_q = -(q.ln());
-    let edge_cost = |e: EdgeId| alpha * net.length(e) + neg_ln_q;
+    let model = Algorithm1::new(net);
+    let edge_cost = |e: EdgeId| model.edge_cost(net.length(e));
 
     const INF: f64 = f64::INFINITY;
     // cost[h][v], prev[h][v] = (prev_node, edge)
@@ -120,7 +119,7 @@ pub fn max_rate_channel_bounded(
                 continue;
             }
             // Extend only from the source or a capable switch.
-            if v != a && !(net.kind(v).is_switch() && capacity.can_relay(v)) {
+            if v != a && !model.can_relay(capacity, v) {
                 continue;
             }
             for (next, eid) in net.graph().neighbors(v) {

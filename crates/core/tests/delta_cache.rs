@@ -128,6 +128,51 @@ fn warm_batches_are_width_invariant_under_deltas() {
 }
 
 #[test]
+fn warm_then_lookup_matches_lazy_lookups_at_every_step() {
+    // `warm` and `finder` bring entries up to date through one shared
+    // decision, so warming before the lookups must change nothing but
+    // the hit count: the same runs, the same full searches, the same
+    // repairs, refreshes and fills. (Warm never counts a hit; lookups
+    // after it do, so hits legitimately differ.)
+    let net = NetworkSpec::paper_default().build(42);
+    let users = net.users().to_vec();
+    let mut capacity = CapacityMap::new(&net);
+    let mut warmed = ChannelFinderCache::with_pool(&net, Pool::with_threads(1));
+    let mut lazy = ChannelFinderCache::with_pool(&net, Pool::with_threads(1));
+    let mut step = |capacity: &CapacityMap, context: &str| {
+        warmed.warm(capacity, &users);
+        for &u in &users {
+            assert_eq!(
+                warmed.finder(capacity, u).run(),
+                lazy.finder(capacity, u).run(),
+                "source {u} diverged ({context})"
+            );
+        }
+        assert_eq!(
+            warmed.search_count(),
+            lazy.search_count(),
+            "search counts ({context})"
+        );
+        let (w, l) = (warmed.efficiency(), lazy.efficiency());
+        assert_eq!(
+            (w.repairs, w.refreshes, w.fills),
+            (l.repairs, l.refreshes, l.fills),
+            "tallies ({context}): warmed {w:?}, lazy {l:?}"
+        );
+    };
+    step(&capacity, "initial");
+    for (i, &delta) in delta_schedule(&net).iter().enumerate() {
+        apply(&mut capacity, delta);
+        step(&capacity, &format!("after delta #{i} {delta:?}"));
+    }
+    assert!(
+        lazy.efficiency().repairs > 0 && lazy.efficiency().refreshes > 0,
+        "the schedule must exercise repairs and refreshes, got {:?}",
+        lazy.efficiency()
+    );
+}
+
+#[test]
 fn warm_snapshot_cannot_leave_stale_entry_marked_clean() {
     // Satellite-4 regression: `warm` snapshots the epoch before worker
     // fan-out and installs entries keyed to it afterwards. A delta

@@ -691,7 +691,8 @@ where
             ALL_IDS.join("|")
         ));
     }
-    which.dedup();
+    let mut seen = std::collections::HashSet::new();
+    which.retain(|id| seen.insert(id.clone()));
     Ok(Args {
         which,
         cfg,
@@ -739,9 +740,15 @@ mod tests {
     #[test]
     fn all_expands_and_dedups() {
         let a = parse(s(&["fig5", "all"])).unwrap();
-        // "fig5" then the full list; consecutive duplicates removed.
+        // "fig5" then the full list; repeats removed.
         assert_eq!(a.which.len(), 1 + ALL_IDS.len() - 1);
         assert_eq!(a.which[0], "fig5");
+    }
+
+    #[test]
+    fn repeated_ids_keep_their_first_occurrence() {
+        let a = parse(s(&["fig5", "fig6a", "fig5"])).unwrap();
+        assert_eq!(a.which, vec!["fig5", "fig6a"]);
     }
 
     #[test]

@@ -410,20 +410,27 @@ impl ProfileRun {
 
     /// Merges this run into the tracked bench JSON at `path` (shape of
     /// the repo's `BENCH_pr*.json` files): existing entries for *other*
-    /// scenarios survive, this scenario's entry is replaced.
+    /// scenarios survive, this scenario's entry is replaced. A missing
+    /// file starts empty.
     ///
     /// # Errors
     ///
-    /// I/O errors reading or writing `path`.
+    /// I/O errors reading or writing `path`, and
+    /// [`std::io::ErrorKind::InvalidData`] when an existing file is not
+    /// a JSON object — it is left untouched rather than replaced, so
+    /// the other scenarios' entries are never silently dropped.
     pub fn write_bench(&self, path: &Path) -> std::io::Result<()> {
-        let mut root = std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok())
-            .and_then(|v| match v {
-                serde_json::Value::Object(m) => Some(m),
-                _ => None,
-            })
-            .unwrap_or_default();
+        let mut root = match std::fs::read_to_string(path) {
+            Ok(text) => match serde_json::from_str(&text) {
+                Ok(serde_json::Value::Object(m)) => m,
+                _ => {
+                    let msg = format!("{} is not a JSON object", path.display());
+                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, msg));
+                }
+            },
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Default::default(),
+            Err(e) => return Err(e),
+        };
         root.insert(
             "bench".into(),
             serde_json::Value::from("profile_attribution"),

@@ -158,6 +158,39 @@ fn bench_merge_keeps_other_scenarios() {
 }
 
 #[test]
+fn bench_merge_refuses_a_malformed_file_and_leaves_it_alone() {
+    let _serial = serial();
+    let run = paper_run(3);
+    let dir = std::env::temp_dir().join("muerp_profile_bench_malformed");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bench.json");
+    for body in [r#"{"scenarios": {"waxman-240": "#, "[1, 2, 3]"] {
+        std::fs::write(&path, body).unwrap();
+        let err = run.write_bench(&path).expect_err("malformed file");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{body}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), body, "untouched");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn bench_merge_starts_a_missing_file_empty() {
+    let _serial = serial();
+    let run = paper_run(3);
+    let dir = std::env::temp_dir().join("muerp_profile_bench_missing");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bench.json");
+    let _ = std::fs::remove_file(&path);
+    run.write_bench(&path).expect("a missing file starts empty");
+    let v: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let scenarios = v.get("scenarios").and_then(|s| s.as_object()).unwrap();
+    assert_eq!(scenarios.len(), 1);
+    assert!(scenarios.contains_key("paper-default"));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn unknown_scenarios_error_before_touching_globals() {
     let _serial = serial();
     assert!(run_scenario("nonsense", 0).is_err());
